@@ -1,0 +1,33 @@
+//! Order statistics over measured samples.
+
+/// The `q` quantile of `values` by linear interpolation between closest
+/// ranks; 0 for an empty slice.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Median of `values`; 0 for an empty slice.
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(quantile(&[0.0, 10.0], 0.99), 9.9);
+    }
+}
