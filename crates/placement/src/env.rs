@@ -1,9 +1,10 @@
 //! The placement environment: topology + routes + fleet, bundled.
 
-use continuum_model::{DeviceId, Fleet};
-use continuum_net::{NodeId, Path, RouteTable, Topology, TransferMatrix};
+use continuum_model::{DeviceId, DeviceSpec, Fleet};
+use continuum_net::{NodeId, Path, RouteTable, Tier, Topology, TransferMatrix};
 use continuum_sim::{SimDuration, SimTime};
-use continuum_workflow::Task;
+use continuum_workflow::{Constraints, Task};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything a placement policy may consult: the network, precomputed
@@ -18,8 +19,48 @@ pub struct Env {
     /// Dense node-pair transfer-cost cache over the canonical routes;
     /// planners query this instead of materializing paths per probe.
     pub xfer: TransferMatrix,
+    /// The fleet's devices grouped by the spec fields that set a task's
+    /// execution time and class-level feasibility (`flops`, `cores`,
+    /// `tier`, `mem_bytes`): every member of a class runs any task in the
+    /// same time and passes the same tier and memory checks. Ids ascend
+    /// within a class; classes are ordered by their lowest id. Built once
+    /// from `fleet`, which must not change afterwards.
+    pub spec_classes: Vec<Vec<DeviceId>>,
     /// Devices deployed on the topology.
     pub fleet: Fleet,
+}
+
+/// Whether a device with `spec` passes `c`'s tier-range and memory-floor
+/// checks (pinning is a per-node check, made by the caller).
+pub(crate) fn admits(c: &Constraints, spec: &DeviceSpec) -> bool {
+    c.tier_range
+        .is_none_or(|(lo, hi)| spec.tier >= lo && spec.tier <= hi)
+        && spec.mem_bytes >= c.min_mem_bytes
+}
+
+/// The panic every candidate scan raises for a task nothing can run.
+pub(crate) fn no_feasible_device(task: &Task) -> ! {
+    let c = &task.constraints;
+    panic!(
+        "task '{}' has no feasible device (pin={:?}, tiers={:?}, mem>={})",
+        task.name, c.pinned_node, c.tier_range, c.min_mem_bytes
+    )
+}
+
+/// Group `fleet` into [`Env::spec_classes`] in one pass.
+fn spec_classes(fleet: &Fleet) -> Vec<Vec<DeviceId>> {
+    let mut index: HashMap<(u64, u32, Tier, u64), usize> = HashMap::new();
+    let mut classes: Vec<Vec<DeviceId>> = Vec::new();
+    for d in fleet.devices() {
+        let s = &d.spec;
+        let key = (s.flops.to_bits(), s.cores, s.tier, s.mem_bytes);
+        let k = *index.entry(key).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[k].push(d.id);
+    }
+    classes
 }
 
 impl Env {
@@ -41,10 +82,12 @@ impl Env {
         }
         let routes = RouteTable::build(&topology);
         let xfer = routes.transfer_matrix(&topology);
+        let spec_classes = spec_classes(&fleet);
         Env {
             topology,
             routes,
             xfer,
+            spec_classes,
             fleet,
         }
     }
@@ -93,29 +136,12 @@ impl Env {
             .fleet
             .devices()
             .iter()
-            .filter(|d| {
-                if let Some(pin) = c.pinned_node {
-                    if d.node != pin {
-                        return false;
-                    }
-                }
-                if let Some((lo, hi)) = c.tier_range {
-                    if d.spec.tier < lo || d.spec.tier > hi {
-                        return false;
-                    }
-                }
-                d.spec.mem_bytes >= c.min_mem_bytes
-            })
+            .filter(|d| c.pinned_node.is_none_or(|pin| d.node == pin) && admits(c, &d.spec))
             .map(|d| d.id)
             .collect();
-        assert!(
-            !out.is_empty(),
-            "task '{}' has no feasible device (pin={:?}, tiers={:?}, mem>={})",
-            task.name,
-            c.pinned_node,
-            c.tier_range,
-            c.min_mem_bytes
-        );
+        if out.is_empty() {
+            no_feasible_device(task);
+        }
         out
     }
 
@@ -217,6 +243,28 @@ mod tests {
             ..Default::default()
         });
         env.feasible_devices(&t);
+    }
+
+    #[test]
+    fn spec_classes_partition_the_fleet() {
+        let env = small_env();
+        // Motes, gateways, fog servers, cloud VMs, the large VM, the GPU
+        // and HPC nodes.
+        assert_eq!(env.spec_classes.len(), 7);
+        let mut seen = vec![false; env.fleet.len()];
+        for class in &env.spec_classes {
+            assert!(class.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+            let rep = &env.fleet.device(class[0]).spec;
+            for &d in class {
+                let s = &env.fleet.device(d).spec;
+                assert_eq!(
+                    (s.flops, s.cores, s.tier, s.mem_bytes),
+                    (rep.flops, rep.cores, rep.tier, rep.mem_bytes)
+                );
+                assert!(!std::mem::replace(&mut seen[d.0 as usize], true));
+            }
+        }
+        assert!(seen.into_iter().all(|s| s), "every device in one class");
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl DeviceTimeline {
 }
 
 /// A fully committed estimated schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EstimatedSchedule {
     /// The placement that was scheduled.
     pub placement: Placement,
@@ -432,6 +432,23 @@ impl<'e> Estimator<'e> {
             .inputs
             .iter()
             .map(|&d| self.data_arrival(d, node))
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// The latest finish among the producers of `t`'s inputs (time zero
+    /// for external inputs): no device's [`Estimator::ready_time`] is
+    /// earlier, since a transfer starts once its item exists.
+    ///
+    /// # Panics
+    /// If any producer of `t` is uncommitted.
+    pub(crate) fn ready_floor(&self, t: TaskId) -> SimTime {
+        self.dag
+            .task(t)
+            .inputs
+            .iter()
+            .filter_map(|&d| self.dag.producer(d))
+            .map(|p| self.finish[p.0 as usize].expect("producer not committed"))
             .max()
             .unwrap_or(SimTime::ZERO)
     }

@@ -24,6 +24,7 @@ pub mod estimate;
 pub mod objective;
 pub mod online;
 pub mod policies;
+mod scan;
 
 pub use delta::DeltaEvaluator;
 pub use env::Env;

@@ -10,6 +10,7 @@
 
 use crate::env::Env;
 use crate::estimate::Placement;
+use crate::scan::min_finish_device;
 use continuum_net::Tier;
 use continuum_sim::SimTime;
 use continuum_workflow::Dag;
@@ -235,28 +236,18 @@ impl OnlinePlacer {
 
         for t in dag.topo_order() {
             let task = dag.task(t);
-            let feas = env.feasible_devices(task);
-            let candidates: Vec<_> = match self.tier_range {
-                Some((lo, hi)) if task.constraints.pinned_node.is_none() => {
-                    let r: Vec<_> = feas
-                        .iter()
-                        .copied()
-                        .filter(|&d| {
-                            let tier = env.fleet.device(d).spec.tier;
-                            tier >= lo && tier <= hi
-                        })
-                        .collect();
-                    if r.is_empty() {
-                        feas
-                    } else {
-                        r
-                    }
-                }
-                _ => feas,
-            };
-
-            let mut best: Option<(SimTime, SimTime, continuum_model::DeviceId, u32)> = None;
-            for d in candidates {
+            let restrict = self
+                .tier_range
+                .filter(|_| task.constraints.pinned_node.is_none());
+            // No input of `t` exists before its producer finishes, and no
+            // task starts before the request arrives.
+            let floor = task
+                .inputs
+                .iter()
+                .filter_map(|&inp| dag.producer(inp))
+                .map(|p| finish[p.0 as usize])
+                .fold(arrival, SimTime::max);
+            let (fin, dev) = min_finish_device(env, task, restrict, floor, false, |d| {
                 let node = env.node_of(d);
                 // Data readiness at this node.
                 let mut ready = arrival;
@@ -272,21 +263,13 @@ impl OnlinePlacer {
                     ready = ready.max(arrives);
                 }
                 let spec = &env.fleet.device(d).spec;
-                let need = task.occupancy(spec.cores);
                 // k-th earliest lane on this device (sorted invariant).
-                let start = ready.max(self.queue_free(d, need)).max(arrival);
-                let fin = start + spec.compute_time_parallel(task.work_flops, task.parallelism);
-                if best
-                    .map(|(bf, _, _, _)| (fin, d) < (bf, best.unwrap().2))
-                    .unwrap_or(true)
-                {
-                    best = Some((fin, start, d, need));
-                }
-            }
-            let (fin, start, dev, need) = best.expect("candidate set non-empty");
+                let start = ready.max(self.queue_free(d, task.occupancy(spec.cores)));
+                start + spec.compute_time_parallel(task.work_flops, task.parallelism)
+            });
+            let need = task.occupancy(env.fleet.device(dev).spec.cores);
             // Occupy the `need` earliest lanes until `fin`.
             self.occupy(dev, need, fin);
-            let _ = start;
             assignment[t.0 as usize] = dev;
             finish[t.0 as usize] = fin;
             location[t.0 as usize] = env.node_of(dev);

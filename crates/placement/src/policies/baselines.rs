@@ -7,7 +7,8 @@
 
 use super::Placer;
 use crate::env::Env;
-use crate::estimate::{Estimator, Placement};
+use crate::estimate::{EstimatedSchedule, Estimator, Placement};
+use crate::scan::min_finish_device;
 use continuum_model::DeviceId;
 use continuum_net::Tier;
 use continuum_sim::Rng;
@@ -83,6 +84,18 @@ impl Default for GreedyEftPlacer {
     }
 }
 
+impl GreedyEftPlacer {
+    /// The estimated schedule greedy EFT committed to.
+    pub(crate) fn schedule(&self, env: &Env, dag: &Dag) -> EstimatedSchedule {
+        let mut est = Estimator::new(env, dag);
+        for t in dag.topo_order() {
+            let (_, best) = best_eft_device(&est, env, dag, t, None, self.insertion, false);
+            est.commit(t, best, self.insertion);
+        }
+        est.into_schedule()
+    }
+}
+
 impl Placer for GreedyEftPlacer {
     fn name(&self) -> &'static str {
         if self.insertion {
@@ -93,12 +106,7 @@ impl Placer for GreedyEftPlacer {
     }
 
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
-        let mut est = Estimator::new(env, dag);
-        for t in dag.topo_order() {
-            let best = best_eft_device(&est, env, dag, t, None, self.insertion, false);
-            est.commit(t, best, self.insertion);
-        }
-        est.into_schedule().placement
+        self.schedule(env, dag).placement
     }
 }
 
@@ -152,25 +160,22 @@ impl Placer for TierPlacer {
             } else {
                 Some((self.lo, self.hi))
             };
-            let best = best_eft_device(&est, env, dag, t, restrict, true, false);
+            let (_, best) = best_eft_device(&est, env, dag, t, restrict, true, false);
             est.commit(t, best, true);
         }
         est.into_schedule().placement
     }
 }
 
-/// Candidate pools smaller than this are always scanned serially: the
-/// fork/join overhead outweighs a handful of EFT probes.
-const PAR_SCAN_MIN: usize = 16;
-
 /// Minimum-EFT feasible device for `t`, optionally restricted to a tier
 /// range (falling back to the unrestricted feasible set if the restriction
-/// empties it). Ties break toward the lower device id.
+/// empties it), with its finish time. Ties break toward the lower device
+/// id.
 ///
-/// With `parallel`, the candidate probes run under rayon; each candidate's
-/// `(finish, device)` score is independent of scan order and the winner is
-/// reduced with the same total order as the serial scan, so the pick is
-/// bit-identical either way (proptested in `tests/proptests.rs`).
+/// The scan skips whole device classes whose finish bound already loses
+/// (see [`crate::scan`]); with `parallel`, large classes are probed under
+/// rayon. Either way the pick is the full scan's (proptested there and in
+/// `tests/proptests.rs`).
 pub(crate) fn best_eft_device(
     est: &Estimator<'_>,
     env: &Env,
@@ -179,37 +184,15 @@ pub(crate) fn best_eft_device(
     tier_range: Option<(Tier, Tier)>,
     insertion: bool,
     parallel: bool,
-) -> DeviceId {
-    let task = dag.task(t);
-    let feas = env.feasible_devices(task);
-    // Both arms borrow: the restriction (when active and non-empty) is the
-    // only allocation; the seed cloned the whole feasible set on the
-    // unrestricted arm of every scan.
-    let restricted: Option<Vec<DeviceId>> = tier_range.and_then(|(lo, hi)| {
-        let r: Vec<DeviceId> = feas
-            .iter()
-            .copied()
-            .filter(|&d| {
-                let tier = env.fleet.device(d).spec.tier;
-                tier >= lo && tier <= hi
-            })
-            .collect();
-        (!r.is_empty()).then_some(r)
-    });
-    let cands: &[DeviceId] = restricted.as_deref().unwrap_or(&feas);
-    let score = |d: DeviceId| (est.eft(t, d, insertion).1, d);
-    // A single-threaded pool would pay the materialization overhead with
-    // no upside; stay on the allocation-free serial scan there.
-    if parallel && cands.len() >= PAR_SCAN_MIN && rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        let scored: Vec<(continuum_sim::SimTime, DeviceId)> =
-            cands.into_par_iter().map(|&d| score(d)).collect();
-        scored.into_iter().min()
-    } else {
-        cands.iter().map(|&d| score(d)).min()
-    }
-    .expect("feasible set is non-empty")
-    .1
+) -> (continuum_sim::SimTime, DeviceId) {
+    min_finish_device(
+        env,
+        dag.task(t),
+        tier_range,
+        est.ready_floor(t),
+        parallel,
+        |d| est.eft(t, d, insertion).1,
+    )
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! the whole path fastest, and everything else is scheduled by earliest
 //! finish time from a priority-ordered ready queue.
 
+use super::baselines::best_eft_device;
 use super::Placer;
 use crate::env::Env;
-use crate::estimate::{Estimator, Placement};
+use crate::estimate::{EstimatedSchedule, Estimator, Placement};
 use continuum_model::DeviceId;
 use continuum_workflow::{Dag, TaskId};
 use std::collections::BinaryHeap;
@@ -68,6 +69,13 @@ impl Placer for CpopPlacer {
     }
 
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
+        self.schedule(env, dag).placement
+    }
+}
+
+impl CpopPlacer {
+    /// The estimated schedule CPOP committed to.
+    pub(crate) fn schedule(&self, env: &Env, dag: &Dag) -> EstimatedSchedule {
         let up = dag.upward_ranks(env.mean_core_flops(), env.mean_bandwidth());
         let down = Self::downward_ranks(env, dag);
         let prio: Vec<f64> = up.iter().zip(&down).map(|(u, d)| u + d).collect();
@@ -144,21 +152,9 @@ impl Placer for CpopPlacer {
         }
         while let Some((_, std::cmp::Reverse(ti))) = ready.pop() {
             let t = TaskId(ti);
-            let device = if on_cp[ti as usize] {
-                match cp_device {
-                    Some(d) => d,
-                    None => super::baselines::best_eft_device(
-                        &est,
-                        env,
-                        dag,
-                        t,
-                        None,
-                        true,
-                        self.parallel,
-                    ),
-                }
-            } else {
-                super::baselines::best_eft_device(&est, env, dag, t, None, true, self.parallel)
+            let device = match cp_device {
+                Some(d) if on_cp[ti as usize] => d,
+                _ => best_eft_device(&est, env, dag, t, None, true, self.parallel).1,
             };
             est.commit(t, device, true);
             for &s in dag.succs(t) {
@@ -168,7 +164,7 @@ impl Placer for CpopPlacer {
                 }
             }
         }
-        est.into_schedule().placement
+        est.into_schedule()
     }
 }
 

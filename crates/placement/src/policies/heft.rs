@@ -65,7 +65,7 @@ impl HeftPlacer {
     pub fn schedule(&self, env: &Env, dag: &Dag) -> crate::estimate::EstimatedSchedule {
         let mut est = Estimator::new(env, dag);
         for t in Self::rank_order(env, dag) {
-            let best = best_eft_device(&est, env, dag, t, None, self.insertion, self.parallel);
+            let (_, best) = best_eft_device(&est, env, dag, t, None, self.insertion, self.parallel);
             est.commit(t, best, self.insertion);
         }
         est.into_schedule()

@@ -12,7 +12,7 @@
 use super::baselines::best_eft_device;
 use super::Placer;
 use crate::env::Env;
-use crate::estimate::{Estimator, Placement};
+use crate::estimate::{EstimatedSchedule, Estimator, Placement};
 use continuum_workflow::{Dag, TaskId};
 
 /// Whether a round commits the smallest or largest best-EFT task.
@@ -30,7 +30,7 @@ pub struct MinMinPlacer;
 #[derive(Debug, Clone, Default)]
 pub struct MaxMinPlacer;
 
-fn place(env: &Env, dag: &Dag, flavor: Flavor) -> Placement {
+fn schedule(env: &Env, dag: &Dag, flavor: Flavor) -> EstimatedSchedule {
     let mut est = Estimator::new(env, dag);
     let n = dag.len();
     let mut indeg: Vec<u32> = (0..n)
@@ -46,8 +46,7 @@ fn place(env: &Env, dag: &Dag, flavor: Flavor) -> Placement {
         // Best (EFT, device) per ready task.
         let mut best: Option<(continuum_sim::SimTime, TaskId, continuum_model::DeviceId)> = None;
         for &t in &ready {
-            let dev = best_eft_device(&est, env, dag, t, None, true, false);
-            let (_, fin) = est.eft(t, dev, true);
+            let (fin, dev) = best_eft_device(&est, env, dag, t, None, true, false);
             let better = match (&best, flavor) {
                 (None, _) => true,
                 (Some((bf, bt, _)), Flavor::MinMin) => (fin, t) < (*bf, *bt),
@@ -68,7 +67,21 @@ fn place(env: &Env, dag: &Dag, flavor: Flavor) -> Placement {
             }
         }
     }
-    est.into_schedule().placement
+    est.into_schedule()
+}
+
+impl MinMinPlacer {
+    /// The estimated schedule Min-Min committed to.
+    pub(crate) fn schedule(&self, env: &Env, dag: &Dag) -> EstimatedSchedule {
+        schedule(env, dag, Flavor::MinMin)
+    }
+}
+
+impl MaxMinPlacer {
+    /// The estimated schedule Max-Min committed to.
+    pub(crate) fn schedule(&self, env: &Env, dag: &Dag) -> EstimatedSchedule {
+        schedule(env, dag, Flavor::MaxMin)
+    }
 }
 
 impl Placer for MinMinPlacer {
@@ -77,7 +90,7 @@ impl Placer for MinMinPlacer {
     }
 
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
-        place(env, dag, Flavor::MinMin)
+        self.schedule(env, dag).placement
     }
 }
 
@@ -87,7 +100,7 @@ impl Placer for MaxMinPlacer {
     }
 
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
-        place(env, dag, Flavor::MaxMin)
+        self.schedule(env, dag).placement
     }
 }
 

@@ -8,6 +8,7 @@
 //! and Zipf.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// SplitMix64 step used to expand a single `u64` seed into xoshiro state.
 #[inline]
@@ -17,6 +18,26 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The harmonic weights [`Rng::zipf`] walks, for one `(n, s)`.
+struct ZipfTable {
+    n: usize,
+    s_bits: u64,
+    weights: Vec<f64>,
+    sum: f64,
+}
+
+thread_local! {
+    /// The last [`ZipfTable`] built on this thread (`n == 0`: none yet).
+    static ZIPF_TABLE: RefCell<ZipfTable> = const {
+        RefCell::new(ZipfTable {
+            n: 0,
+            s_bits: 0,
+            weights: Vec::new(),
+            sum: 0.0,
+        })
+    };
 }
 
 /// xoshiro256\*\* deterministic PRNG.
@@ -160,21 +181,30 @@ impl Rng {
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s >= 0`.
     ///
-    /// Uses inversion on the precomputable harmonic weights when `n` is
-    /// small, falling back to on-the-fly CDF walking; O(n) worst case, which
-    /// is fine for the catalog sizes the generators use.
+    /// Inversion over the harmonic weights `1 / k^s`. The weights and their
+    /// sum are memoised per thread for the last `(n, s)` asked for, so a
+    /// run of draws with one catalog costs O(rank) each instead of O(n)
+    /// `powf` calls; the draw is bit-identical to recomputing them.
     pub fn zipf(&mut self, n: usize, s: f64) -> usize {
         assert!(n > 0);
-        let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut u = self.f64() * h;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(s);
-            if u < w {
-                return k - 1;
+        ZIPF_TABLE.with(|table| {
+            let mut t = table.borrow_mut();
+            if t.n != n || t.s_bits != s.to_bits() {
+                t.weights.clear();
+                t.weights.extend((1..=n).map(|k| 1.0 / (k as f64).powf(s)));
+                t.sum = t.weights.iter().sum();
+                t.n = n;
+                t.s_bits = s.to_bits();
             }
-            u -= w;
-        }
-        n - 1
+            let mut u = self.f64() * t.sum;
+            for (k, &w) in t.weights.iter().enumerate() {
+                if u < w {
+                    return k;
+                }
+                u -= w;
+            }
+            n - 1
+        })
     }
 
     /// Pick a uniformly random element of a non-empty slice.
@@ -284,6 +314,49 @@ mod tests {
         }
         assert!(counts[0] > counts[4], "{counts:?}");
         assert!(counts[0] > counts[9], "{counts:?}");
+    }
+
+    /// The seed's uncached sampler, the oracle for the memoised one.
+    fn zipf_uncached(r: &mut Rng, n: usize, s: f64) -> usize {
+        let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        let mut u = r.f64() * h;
+        for k in 1..=n {
+            let w = 1.0 / (k as f64).powf(s);
+            if u < w {
+                return k - 1;
+            }
+            u -= w;
+        }
+        n - 1
+    }
+
+    #[test]
+    fn zipf_cache_matches_uncached_draw_for_draw() {
+        let mut cached = Rng::new(29);
+        let mut plain = Rng::new(29);
+        // Interleaved (n, s) pairs, including ones that share `n` or `s`,
+        // so the per-thread table is rebuilt between most draws.
+        let pairs = [
+            (1, 1.0),
+            (10, 1.0),
+            (10, 1.2),
+            (200, 1.1),
+            (10, 1.0),
+            (3, 0.0),
+            (200, 0.8),
+        ];
+        for i in 0..5_000 {
+            let (n, s) = pairs[(i * 3 + i / 7) % pairs.len()];
+            let runs = 1 + i % 4;
+            for _ in 0..runs {
+                assert_eq!(
+                    cached.zipf(n, s),
+                    zipf_uncached(&mut plain, n, s),
+                    "draw {i} n={n} s={s}"
+                );
+            }
+        }
+        assert_eq!(cached.next_u64(), plain.next_u64());
     }
 
     #[test]
