@@ -9,7 +9,10 @@ use std::hint::black_box;
 use continuum_bench::experiments as exp;
 use continuum_core::prelude::*;
 use continuum_data::{DataKey, ReplicaCatalog, StagingConfig, StagingService};
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_federation, single_site, FederationCfg, FunctionRegistry, Invocation,
+    RoutingPolicy,
+};
 use continuum_net::RouteTable;
 
 fn f1_crossover(c: &mut Criterion) {
@@ -171,6 +174,8 @@ fn f7_fabric(c: &mut Criterion) {
     let mut devices = world.env().fleet.in_tier(Tier::Fog);
     devices.extend(world.env().fleet.in_tier(Tier::Cloud));
     let endpoints = endpoints_on(world.env(), &devices);
+    let sites = single_site(world.env(), &endpoints);
+    let cfg = FederationCfg::new(RoutingPolicy::Locality);
     let mut rng = Rng::new(0xF7);
     let mut t = 0.0;
     let invocations: Vec<Invocation> = (0..1000)
@@ -186,13 +191,15 @@ fn f7_fabric(c: &mut Criterion) {
     c.bench_function("f7_fabric_1000_invocations_locality", |b| {
         b.iter(|| {
             black_box(
-                run_fabric(
+                run_federation(
                     world.env(),
                     &registry,
                     &endpoints,
+                    &sites,
                     &invocations,
-                    RoutingPolicy::Locality,
+                    &cfg,
                 )
+                .fabric
                 .completed,
             )
         })

@@ -2,14 +2,13 @@
 //!
 //! Three sections, one JSON report (`BENCH_fabric.json`):
 //!
-//! **dispatch** — wall-clock dispatch throughput of the federation vs the
-//! per-invocation single broker, swept over batch size × site count on a
-//! fog-heavy continuum with hundreds of endpoints. The 1-site batch-1
-//! federation arm is asserted **bit-identical** to
-//! `run_fabric_admission` — every latency, every counter — before
-//! anything is timed; the batched arms then amortize the per-invocation
-//! overhead (admission scan, candidate build, route resolution, arrival
-//! heap traffic) the identity arm still proves equivalent.
+//! **dispatch** — wall-clock dispatch throughput of the federation, swept
+//! over batch size × site count on a fog-heavy continuum with hundreds of
+//! endpoints. Speedups are relative to the 1-site batch-1 arm, which is
+//! the centralized per-invocation broker (the crate's lib tests assert it
+//! bit-identical to the single-broker oracle); the batched and
+//! multi-site arms amortize per-invocation dispatch work across a drain
+//! and shard it across site brokers.
 //!
 //! **placement** — federated (4-site, site-local locality scan) vs
 //! centralized (1-site, global scan) placement quality under the
@@ -25,13 +24,12 @@
 //! cargo run --release -p continuum-bench --bin fabric
 //! ```
 //!
-//! `--smoke` shrinks the world so CI can assert the identity and the
-//! JSON shape without paying the full measurement cost.
+//! `--smoke` shrinks the world so CI can assert the JSON shape without
+//! paying the full measurement cost.
 
 use continuum_fabric::{
-    endpoints_on, run_fabric_admission, run_federation, sites_from_partition, Admission, Backoff,
-    Endpoint, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent,
-    SiteFaults,
+    endpoints_on, run_federation, sites_from_partition, Admission, Backoff, Endpoint,
+    FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
 };
 use continuum_model::{standard_fleet, DeviceClass};
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, NodeId, RegionPartition, Tier};
@@ -63,10 +61,9 @@ struct World {
 }
 
 /// A fog-heavy continuum: many fog sites, each densified to 8 fog
-/// servers, so the endpoint pool is large enough that the single
-/// broker's per-invocation O(endpoints) admission scan and candidate
-/// build are the dominant dispatch cost — the overhead batching
-/// amortizes away.
+/// servers, so the endpoint pool is large enough that per-invocation
+/// dispatch work dominates — the overhead batching and site sharding
+/// amortize away.
 fn build_world(smoke: bool) -> World {
     let (spec, extra_fog_devices) = if smoke {
         (
@@ -151,21 +148,6 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
     let site_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let batches: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 32] };
 
-    // Identity first, timing second: the per-invocation single broker is
-    // the reference, and the 1-site batch-1 federation must reproduce its
-    // report bit-for-bit — every latency in order, every counter.
-    eprintln!("fabric[dispatch]: asserting 1-site batch-1 identity vs single broker ...");
-    let oracle = run_fabric_admission(
-        &w.env,
-        &registry,
-        &w.endpoints,
-        &invocations,
-        policy,
-        None,
-        None,
-        None,
-        admission,
-    );
     let fed_cfg = |batch: usize| {
         let mut cfg = FederationCfg::new(policy);
         cfg.batch = batch;
@@ -173,36 +155,10 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
         cfg.admission = admission;
         cfg
     };
-    let one_site = sites_from_partition(&w.env, &w.partition, &w.endpoints, 1);
-    let identity = run_federation(
-        &w.env,
-        &registry,
-        &w.endpoints,
-        &one_site,
-        &invocations,
-        &fed_cfg(1),
-    );
-    assert_eq!(
-        identity.fabric, oracle,
-        "1-site batch-1 federation diverged from run_fabric_admission"
-    );
 
-    eprintln!("fabric[dispatch]: timing single-broker baseline ...");
-    let baseline_ms = best_of(reps, || {
-        run_fabric_admission(
-            &w.env,
-            &registry,
-            &w.endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            None,
-            admission,
-        )
-    });
-    let baseline_thpt = n as f64 / (baseline_ms / 1e3);
-
+    // The sweep starts at 1 site, batch 1: the centralized arm every
+    // speedup is measured against.
+    let mut baseline_ms = f64::NAN;
     let mut arms = Vec::new();
     let mut speedup_batch32_1site = 0.0;
     let mut best_speedup = 0.0f64;
@@ -215,6 +171,9 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
             let t = best_of(reps, || {
                 run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg)
             });
+            if sites_n == 1 && batch == 1 {
+                baseline_ms = t;
+            }
             let speedup = baseline_ms / t;
             if sites_n == 1 && batch == *batches.last().expect("non-empty") {
                 speedup_batch32_1site = speedup;
@@ -225,7 +184,7 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
                 "batch": batch,
                 "ms": t,
                 "dispatch_throughput_per_sec": n as f64 / (t / 1e3),
-                "speedup_vs_single_broker": speedup,
+                "speedup_vs_1site_batch1": speedup,
                 "completed": rep.fabric.completed,
                 "rejected": rep.fabric.rejected,
                 "drains": rep.drains,
@@ -242,23 +201,21 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
         "invocations": n,
         "offered_rate_hz": rate,
         "policy": "round-robin",
-        "identity_asserted": true,
-        "single_broker_ms": baseline_ms,
-        "single_broker_throughput_per_sec": baseline_thpt,
+        "baseline_1site_batch1_ms": baseline_ms,
         "arms": arms,
         "speedup_at_max_batch_1site": speedup_batch32_1site,
         "best_speedup": best_speedup,
         "notes": [
-            "The 1-site batch-1 federation arm is asserted bit-identical to \
-             run_fabric_admission (every latency, every counter) before any \
-             arm is timed; batched arms change only *when* dispatch work \
-             happens, never the admission decision or the policy pick.",
-            "Throughput is invocations per wall-second of simulation: the \
-             single broker pays an O(endpoints) admission scan and candidate \
-             build plus two arrival heap operations per invocation; the \
-             federation pays an O(1) maintained in-system count, a cached \
-             per-site candidate list, a cached route probe, and amortizes \
-             drain bookkeeping across the batch.",
+            "Speedups are relative to the 1-site batch-1 arm, the centralized \
+             per-invocation broker; the crate's lib tests assert that arm \
+             bit-identical to the single-broker oracle (every latency, every \
+             counter). Batched arms change only *when* dispatch work happens, \
+             never the admission decision or the policy pick.",
+            "Throughput is invocations per wall-second of simulation: every \
+             arm pays an O(1) maintained in-system count, a cached per-site \
+             candidate list and a cached route probe per invocation; batching \
+             amortizes drain bookkeeping across the batch, and more sites \
+             shrink each site's candidate scan.",
             "Mean batch occupancy stays below the configured cap at moderate \
              load because the drain-timer fires before the buffer fills; \
              max_batch shows the cap engaging under bursts.",

@@ -32,8 +32,8 @@
 use continuum_bench::seed_exec::simulate_stream_chaos_seed;
 use continuum_core::prelude::*;
 use continuum_fabric::{
-    endpoints_on, run_fabric_faulty, Backoff, EndpointFaults, FunctionRegistry, Invocation,
-    RoutingPolicy,
+    endpoints_on, run_federation, single_site, Backoff, EndpointFaults, FederationCfg,
+    FunctionRegistry, Invocation, RoutingPolicy,
 };
 use continuum_model::standard_fleet;
 use continuum_obs::{HealthSpec, Telemetry};
@@ -222,16 +222,17 @@ fn fabric_leg(env: &Env, smoke: bool) {
         backoff: Backoff::default(),
         seed: 0xBAC0,
     };
-    let rep = run_fabric_faulty(
+    let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+    cfg.faults = Some(faults);
+    let rep = run_federation(
         env,
         &registry,
         &endpoints,
+        &single_site(env, &endpoints),
         &invocations,
-        RoutingPolicy::LeastOutstanding,
-        None,
-        None,
-        Some(&faults),
-    );
+        &cfg,
+    )
+    .fabric;
     assert_eq!(rep.completed + rep.dropped, n as u64);
 }
 

@@ -179,11 +179,13 @@ pub fn run() -> (Vec<Table>, Vec<Row>) {
     );
     {
         use continuum_fabric::{
-            endpoints_on, run_fabric_cfg, ColdStart, FunctionRegistry, Invocation, RoutingPolicy,
+            endpoints_on, run_federation, single_site, ColdStart, FederationCfg, FunctionRegistry,
+            Invocation, RoutingPolicy,
         };
         let mut registry = FunctionRegistry::new();
         let infer = registry.register("infer", 5e9, 200 << 10, 1 << 10);
         let endpoints = endpoints_on(world.env(), &world.env().fleet.in_tier(Tier::Cloud));
+        let sites = single_site(world.env(), &endpoints);
         for rate in [0.05f64, 100.0] {
             let mut rng = Rng::new(0xA3);
             let mut t = 0.0;
@@ -199,15 +201,17 @@ pub fn run() -> (Vec<Table>, Vec<Row>) {
                 })
                 .collect();
             let p95 = |cold: Option<ColdStart>| {
-                let rep = run_fabric_cfg(
+                let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+                cfg.cold = cold;
+                let rep = run_federation(
                     world.env(),
                     &registry,
                     &endpoints,
+                    &sites,
                     &invocations,
-                    RoutingPolicy::LeastOutstanding,
-                    cold,
+                    &cfg,
                 );
-                rep.latency_percentiles().1
+                rep.fabric.latency_percentiles().1
             };
             let none = p95(None);
             let short = p95(Some(ColdStart {

@@ -8,7 +8,10 @@
 
 use crate::report::{f, Table};
 use continuum_core::prelude::*;
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_federation, single_site, FederationCfg, FunctionRegistry, Invocation,
+    RoutingPolicy,
+};
 use serde::Serialize;
 
 /// One measured point.
@@ -46,6 +49,7 @@ pub fn run() -> (Table, Vec<Row>) {
     let mut devices = world.env().fleet.in_tier(Tier::Fog);
     devices.extend(world.env().fleet.in_tier(Tier::Cloud));
     let endpoints = endpoints_on(world.env(), &devices);
+    let sites = single_site(world.env(), &endpoints);
 
     let mut rows = Vec::new();
     let mut table = Table::new(
@@ -78,7 +82,15 @@ pub fn run() -> (Table, Vec<Row>) {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ] {
-            let rep = run_fabric(world.env(), &registry, &endpoints, &invocations, policy);
+            let rep = run_federation(
+                world.env(),
+                &registry,
+                &endpoints,
+                &sites,
+                &invocations,
+                &FederationCfg::new(policy),
+            )
+            .fabric;
             let (p50, _, p99) = rep.latency_percentiles();
             table.row(vec![
                 policy.label().to_string(),

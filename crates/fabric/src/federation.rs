@@ -1,10 +1,11 @@
 //! Federated multi-broker fabric: per-site brokers, batched dispatch,
 //! warm-container pools, and broker-peer takeover.
 //!
-//! The single [`crate::broker`] loop pays its dispatch overhead — the
-//! admission scan, the candidate build, the endpoint policy scan, two
-//! heap operations — once *per invocation*. This module promotes the
-//! fabric to a funcX-style federation of **sites**: each site is a broker
+//! This is the fabric's one event loop. A centralized broker pays its
+//! dispatch overhead — the admission scan, the candidate build, the
+//! endpoint policy scan, two heap operations — once *per invocation*.
+//! This module runs the fabric as a funcX-style federation of **sites**
+//! instead: each site is a broker
 //! owning a pool of endpoints (sites are derived from
 //! [`RegionPartition`] regions), and a [`Forwarder`] routes every
 //! invocation to a site through the shared epoch-tagged route cache.
@@ -16,7 +17,7 @@
 //! buffered, or after [`FederationCfg::drain_every`] of sim time,
 //! whichever comes first. One drain pays the candidate refresh and batch
 //! bookkeeping once for the whole batch; the admission gate is a
-//! maintained O(1) counter instead of the baseline's per-arrival
+//! maintained O(1) counter instead of the centralized per-arrival
 //! O(endpoints) sum; and arrivals enter through a sorted cursor instead
 //! of per-invocation heap events. Batching trades sim-time latency
 //! (buffered invocations wait for the drain) for dispatch throughput —
@@ -39,23 +40,24 @@
 //! dead site's displaced work — orphans, queued work, and buffered
 //! ingress — through the forwarding layer, entering the peer's ingress
 //! as one batch instead of per-invocation backoff. Only when no peer
-//! survives does displaced work fall back to the single-broker
-//! backoff-and-retry path. This generalizes the PR-2 broker-restart
+//! survives does displaced work fall back to the per-invocation
+//! backoff-and-retry path that endpoint faults use. This generalizes the PR-2 broker-restart
 //! failover to peer takeover.
 //!
 //! # Equivalence oracle
 //!
 //! A federation with **one site and batch size 1** (no warm pool, no site
-//! faults) must be *bit-identical* to [`run_fabric_faulty`] /
-//! [`run_fabric_admission`]: same completions, same latencies in the same
+//! faults) *is* the centralized single broker, and must stay
+//! bit-identical to it: same completions, same latencies in the same
 //! order, same retry/reroute/drop counters, same slot-seconds. The
-//! engine is written around that invariant — shared endpoint-state
-//! constructor, same event ordering (arrivals before same-time events,
-//! fault events before same-time runtime events), the same policy scans,
-//! and route lookups whose cached results are exactly what the baseline
-//! recomputes. `tests/proptests.rs` pins the identity across random
-//! loads, fault schedules, admission caps, and policies; the `fabric`
-//! bench asserts it again before timing.
+//! pre-federation single-broker loop is kept, test-only, as the
+//! reference: the crate's lib tests assert the identity across policies,
+//! random loads, endpoint fault schedules, cold starts, autoscaling and
+//! admission caps. The engine is written around that invariant — shared
+//! endpoint-state constructor, same event ordering (arrivals before
+//! same-time events, fault events before same-time runtime events), the
+//! same policy scans, and route lookups whose cached results are exactly
+//! what the reference recomputes.
 
 use crate::broker::{
     ep_states, Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, EpState,
@@ -70,12 +72,6 @@ use continuum_sim::{jain_fairness, EventQueue, FaultKind, Rng, SimDuration, SimT
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-
-// Re-exported here for rustdoc links.
-#[allow(unused_imports)]
-use crate::broker::run_fabric_admission;
-#[allow(unused_imports)]
-use crate::broker::run_fabric_faulty;
 
 /// Identifier of a federation site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -142,8 +138,8 @@ pub fn sites_from_partition(
     sites
 }
 
-/// One site owning every endpoint — the centralized arm of a federated
-/// sweep and the shape the equivalence oracle runs in.
+/// One site owning every endpoint — the centralized broker, and the shape
+/// the equivalence oracle runs in.
 pub fn single_site(env: &Env, endpoints: &[Endpoint]) -> Vec<Site> {
     assert!(!endpoints.is_empty(), "no endpoints");
     vec![Site {
@@ -241,14 +237,13 @@ pub struct FederationCfg {
     pub batch: usize,
     /// Longest a buffered invocation waits before a timer drain.
     pub drain_every: SimDuration,
-    /// Per-endpoint cold-start window (the single-broker model); ignored
-    /// when `warm_pool` is set.
+    /// Per-endpoint cold-start window; ignored when `warm_pool` is set.
     pub cold: Option<ColdStart>,
     /// Per-site warm-container pool (overrides `cold`).
     pub warm_pool: Option<WarmPool>,
-    /// Elastic slot provisioning, as in the single broker.
+    /// Elastic slot provisioning.
     pub autoscale: Option<Autoscale>,
-    /// Endpoint-level fault injection, as in the single broker.
+    /// Endpoint-level fault injection.
     pub faults: Option<EndpointFaults>,
     /// Site-level fault injection with peer takeover.
     pub site_faults: Option<SiteFaults>,
@@ -265,7 +260,7 @@ pub struct FederationCfg {
 
 impl FederationCfg {
     /// Per-invocation dispatch (batch 1), no cold start, no autoscale, no
-    /// faults, no admission — the shape bit-comparable to `run_fabric`.
+    /// faults, no admission, no health plane.
     pub fn new(policy: RoutingPolicy) -> FederationCfg {
         FederationCfg {
             policy,
@@ -301,8 +296,8 @@ pub struct SiteStats {
     pub cold_boots: u64,
 }
 
-/// Result of a federation run: the single-broker-compatible
-/// [`FabricReport`] plus federation-level counters.
+/// Result of a federation run: the aggregate [`FabricReport`] plus
+/// federation-level counters.
 #[derive(Debug, Clone)]
 pub struct FederationReport {
     /// The oracle-comparable aggregate (completions, latencies in
@@ -361,7 +356,7 @@ struct SiteState {
     rr_ep: usize,
     /// Member endpoints not known-down, ascending — rebuilt only on
     /// routability transitions, so drains skip the per-invocation
-    /// candidate build the single broker pays.
+    /// candidate build the oracle pays.
     cand: Vec<usize>,
     /// Warm-pool LRU (front = least recently used).
     warm: Vec<FunctionId>,
@@ -408,8 +403,8 @@ enum FEv {
 ///
 /// `sites` must partition `endpoints` (every endpoint in exactly one
 /// site). See the module docs for semantics; `completed + dropped +
-/// rejected == invocations.len()` always holds on the report, and the
-/// 1-site/batch-1 arm is bit-identical to [`run_fabric_admission`].
+/// rejected == invocations.len()` always holds on the report. With
+/// [`single_site`] and batch 1 this is the centralized single broker.
 #[allow(clippy::too_many_lines)]
 pub fn run_federation(
     env: &Env,
@@ -478,9 +473,9 @@ pub fn run_federation(
     let mut lost_work_s = 0.0f64;
     // Maintained in-system count (assigned + buffered): the O(1)
     // admission gate. The 1-site/batch-1 value at arrival time equals the
-    // baseline's per-arrival sum over endpoint outstanding exactly.
+    // oracle's per-arrival sum over endpoint outstanding exactly.
     let mut in_system = 0usize;
-    // Jitter stream: endpoint-fault seed when present (baseline
+    // Jitter stream: endpoint-fault seed when present (oracle
     // compatible), else the site-fault seed.
     let mut jitter_rng = Rng::new(
         cfg.faults
@@ -527,7 +522,7 @@ pub fn run_federation(
 
     // Arrival cursor: indices stably sorted by arrival time. Equal-time
     // arrivals keep index order and arrivals win ties against queue
-    // events — exactly the baseline heap's (time, seq) order, without
+    // events — exactly the oracle heap's (time, seq) order, without
     // two heap operations per invocation.
     let mut order: Vec<usize> = (0..invocations.len()).collect();
     order.sort_by_key(|&i| invocations[i].arrival);
@@ -674,7 +669,7 @@ pub fn run_federation(
                             }
                         }
                     } else if let Some(cs) = cfg.cold {
-                        // Endpoint-level warmth, exactly the baseline.
+                        // Endpoint-level warmth, exactly the oracle.
                         if now > eps[ep].warm_until {
                             exec += cs.cold_time;
                         }
@@ -1317,9 +1312,9 @@ fn fed_flow_id(inv: usize, epoch: u32) -> u64 {
 }
 
 /// Pick an endpoint among a site's `candidates` under `policy`; `None`
-/// iff the candidate set is empty. Mirrors the single broker's
-/// `choose_endpoint` exactly, with the route lookups going through the
-/// forwarder's cache (bit-identical results, amortized cost).
+/// iff the candidate set is empty. Mirrors the oracle's endpoint choice
+/// exactly, with the route lookups going through the forwarder's cache
+/// (bit-identical results, amortized cost).
 #[allow(clippy::too_many_arguments)]
 fn choose_in_site(
     env: &Env,
@@ -1378,7 +1373,7 @@ fn choose_in_site(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{endpoints_on, run_fabric, run_fabric_admission};
+    use crate::broker::endpoints_on;
     use continuum_model::standard_fleet;
     use continuum_net::{continuum, continuum_regions, ContinuumSpec, Tier};
 
@@ -1441,73 +1436,6 @@ mod tests {
         let one = sites_from_partition(&env, &partition, &endpoints, 1);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].endpoints.len(), endpoints.len());
-    }
-
-    #[test]
-    fn one_site_batch_one_is_bit_identical_to_single_broker() {
-        let (env, partition, sensors) = world();
-        let (registry, endpoints, invocations) = workload(&env, &sensors, 300, 120.0, 42);
-        for policy in [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastOutstanding,
-            RoutingPolicy::Locality,
-        ] {
-            let oracle = run_fabric(&env, &registry, &endpoints, &invocations, policy);
-            for sites in [
-                single_site(&env, &endpoints),
-                sites_from_partition(&env, &partition, &endpoints, 1),
-            ] {
-                let fed = run_federation(
-                    &env,
-                    &registry,
-                    &endpoints,
-                    &sites,
-                    &invocations,
-                    &FederationCfg::new(policy),
-                );
-                assert_eq!(fed.fabric, oracle, "{}", policy.label());
-            }
-        }
-    }
-
-    #[test]
-    fn one_site_batch_one_identity_with_admission_cold_autoscale() {
-        let (env, _, sensors) = world();
-        let (registry, endpoints, invocations) = workload(&env, &sensors, 400, 400.0, 7);
-        let cold = Some(ColdStart {
-            cold_time: SimDuration::from_millis(500),
-            keep_warm: SimDuration::from_secs(2),
-        });
-        let autoscale = Some(Autoscale { min_slots: 1 });
-        let admission = Some(Admission {
-            max_outstanding: 24,
-        });
-        let policy = RoutingPolicy::LeastOutstanding;
-        let oracle = run_fabric_admission(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            cold,
-            autoscale,
-            None,
-            admission,
-        );
-        let mut cfg = FederationCfg::new(policy);
-        cfg.cold = cold;
-        cfg.autoscale = autoscale;
-        cfg.admission = admission;
-        let fed = run_federation(
-            &env,
-            &registry,
-            &endpoints,
-            &single_site(&env, &endpoints),
-            &invocations,
-            &cfg,
-        );
-        assert_eq!(fed.fabric, oracle);
-        assert!(fed.fabric.rejected > 0, "gate exercised");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! Every invocation enters the federation at one origin node and is
 //! *forwarded* to a site broker, which dispatches it onto one of the
 //! site's endpoints. Payload legs (origin → endpoint, endpoint → origin)
-//! are timed with the same analytic path model as the single-broker
-//! fabric, but the [`Path`] lookups are memoized in the epoch-tagged
-//! [`RouteCache`] shared across all sites: a fabric run resolves the same
-//! (origin, endpoint-node) pairs thousands of times, and the cache turns
-//! each repeat into a hash probe instead of a predecessor walk. Because
-//! the cached value is exactly what recomputing would return (the cache
-//! invariant), forwarded transfers stay bit-identical to the uncached
-//! single-broker path — the federation's equivalence oracle depends on
-//! this.
+//! are timed with the analytic path model (no cross-invocation link
+//! contention — the fabric isolates endpoint queueing; the DAG executor
+//! in `continuum-runtime` covers link contention), but the
+//! [`Path`](continuum_net::routing::Path) lookups are memoized in the
+//! epoch-tagged [`RouteCache`] shared across all sites: a fabric run
+//! resolves the same (origin, endpoint-node) pairs thousands of times,
+//! and the cache turns each repeat into a hash probe instead of a
+//! predecessor walk. Because the cached value is exactly what
+//! recomputing would return (the cache invariant), forwarded transfers
+//! stay bit-identical to the uncached path of the test-only
+//! single-broker oracle, which the federation's identity tests depend
+//! on.
 
 use continuum_net::{NodeId, RouteCache, RouteCacheStats};
 use continuum_placement::Env;

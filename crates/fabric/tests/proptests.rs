@@ -1,9 +1,9 @@
 //! Property-based tests for the function fabric.
 
 use continuum_fabric::{
-    endpoints_on, run_fabric, run_fabric_faulty, run_federation, sites_from_partition, Backoff,
-    EndpointFaults, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent,
-    SiteFaults,
+    endpoints_on, run_federation, single_site, sites_from_partition, Backoff, Endpoint,
+    EndpointFaults, FabricReport, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy,
+    SiteFaultEvent, SiteFaults,
 };
 use continuum_model::standard_fleet;
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, RegionPartition, Tier};
@@ -27,6 +27,18 @@ fn world() -> (Env, Vec<continuum_net::NodeId>) {
         Env::new(built.topology.clone(), standard_fleet(&built)),
         sensors,
     )
+}
+
+/// Run through one site owning every endpoint: the centralized broker.
+fn run_one_site(
+    env: &Env,
+    registry: &FunctionRegistry,
+    endpoints: &[Endpoint],
+    invocations: &[Invocation],
+    cfg: &FederationCfg,
+) -> FabricReport {
+    let sites = single_site(env, endpoints);
+    run_federation(env, registry, endpoints, &sites, invocations, cfg).fabric
 }
 
 fn partitioned_world() -> (Env, RegionPartition, Vec<continuum_net::NodeId>) {
@@ -73,7 +85,8 @@ proptest! {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ][policy_idx];
-        let rep = run_fabric(&env, &registry, &endpoints, &invocations, policy);
+        let cfg = FederationCfg::new(policy);
+        let rep = run_one_site(&env, &registry, &endpoints, &invocations, &cfg);
         prop_assert_eq!(rep.completed, n as u64);
         prop_assert_eq!(rep.latencies_s.len(), n);
         prop_assert_eq!(rep.per_endpoint.iter().sum::<u64>(), n as u64);
@@ -112,7 +125,8 @@ proptest! {
                 function: f,
             })
             .collect();
-        let rep = run_fabric(&env, &registry, &endpoints, &invocations, RoutingPolicy::Locality);
+        let cfg = FederationCfg::new(RoutingPolicy::Locality);
+        let rep = run_one_site(&env, &registry, &endpoints, &invocations, &cfg);
         for &l in &rep.latencies_s {
             prop_assert!(l >= min_exec, "latency {l} below bare exec {min_exec}");
         }
@@ -166,16 +180,9 @@ proptest! {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ][policy_idx];
-        let rep = run_fabric_faulty(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            Some(&faults),
-        );
+        let mut cfg = FederationCfg::new(policy);
+        cfg.faults = Some(faults);
+        let rep = run_one_site(&env, &registry, &endpoints, &invocations, &cfg);
         prop_assert_eq!(rep.completed + rep.dropped, n as u64, "invocation lost or duplicated");
         prop_assert_eq!(rep.latencies_s.len() as u64, rep.completed);
         prop_assert!(rep.retries >= rep.reroutes);
@@ -236,73 +243,6 @@ proptest! {
             prop_assert!(nominal_ns >= prev_nominal);
             prev_nominal = nominal_ns;
         }
-    }
-
-    /// The federation's equivalence oracle, under chaos: a 1-site
-    /// federation at batch 1 reproduces `run_fabric_faulty` bit-for-bit —
-    /// same latencies in the same order, same retry/reroute/drop
-    /// counters, same slot-seconds — for any load, policy, and
-    /// endpoint-level fault schedule.
-    #[test]
-    fn federation_single_site_identical_under_faults(
-        seed in any::<u64>(),
-        n in 1usize..120,
-        rate in 5.0f64..200.0,
-        policy_idx in 0usize..3,
-        mttf_s in 5.0f64..60.0,
-        mttr_s in 0.5f64..20.0,
-    ) {
-        let (env, partition, sensors) = partitioned_world();
-        let mut registry = FunctionRegistry::new();
-        let f = registry.register("f", 1e10, 10 << 10, 1 << 10);
-        let endpoints = endpoints_on(&env, &env.fleet.in_tier(Tier::Cloud));
-        let mut rng = Rng::new(seed);
-        let mut t = 0.0;
-        let invocations: Vec<Invocation> = (0..n)
-            .map(|i| {
-                t += rng.exp(rate);
-                Invocation {
-                    arrival: SimTime::from_secs_f64(t),
-                    origin: sensors[i % sensors.len()],
-                    function: f,
-                }
-            })
-            .collect();
-        let spec = FaultScheduleSpec {
-            horizon: SimDuration::from_secs_f64(t + 30.0),
-            endpoints: FaultProcess {
-                population: endpoints.len() as u32,
-                mttf_s,
-                mttr_s,
-            },
-            ..FaultScheduleSpec::default()
-        };
-        let faults = EndpointFaults {
-            schedule: continuum_sim::FaultSchedule::generate(&spec, seed ^ 0xFA17),
-            heartbeat: SimDuration::from_millis(500),
-            backoff: Backoff::default(),
-            seed: seed ^ 0xBAC0,
-        };
-        let policy = [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastOutstanding,
-            RoutingPolicy::Locality,
-        ][policy_idx];
-        let oracle = run_fabric_faulty(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            Some(&faults),
-        );
-        let sites = sites_from_partition(&env, &partition, &endpoints, 1);
-        let mut cfg = FederationCfg::new(policy);
-        cfg.faults = Some(faults);
-        let fed = run_federation(&env, &registry, &endpoints, &sites, &invocations, &cfg);
-        prop_assert_eq!(&fed.fabric, &oracle);
     }
 
     /// Federated-vs-centralized conservation under *site* failures: for

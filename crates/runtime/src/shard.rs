@@ -530,24 +530,6 @@ pub fn simulate_stream_sharded(
     }
 }
 
-/// Pinned-mode [`simulate_stream_sharded`] without the confined-mode
-/// parameters that do not apply (fault plane, windowing knob).
-pub fn simulate_stream_pinned(
-    env: &Env,
-    requests: &[StreamRequest],
-    faults: Option<&FaultSpec>,
-    partition: &RegionPartition,
-    max_shards: usize,
-) -> SimOutcome {
-    simulate_pinned(
-        env,
-        requests,
-        faults,
-        partition,
-        &ShardOpts::pinned(max_shards),
-    )
-}
-
 /// Request-confined execution: the union-find plan, one core per
 /// component.
 fn simulate_confined(
@@ -843,10 +825,24 @@ mod tests {
             retry_delay: continuum_sim::SimDuration::from_millis(50),
             seed: 7,
         };
-        let reference = simulate_stream_pinned(&env, &requests, Some(&fs), &partition, 1);
+        let reference = simulate_stream_sharded(
+            &env,
+            &requests,
+            Some(&fs),
+            None,
+            &partition,
+            &ShardOpts::pinned(1),
+        );
         assert!(reference.trace.failed_attempts > 0, "want retries in play");
         for n in [2, 4] {
-            let got = simulate_stream_pinned(&env, &requests, Some(&fs), &partition, n);
+            let got = simulate_stream_sharded(
+                &env,
+                &requests,
+                Some(&fs),
+                None,
+                &partition,
+                &ShardOpts::pinned(n),
+            );
             assert_eq!(got, reference, "pinned n={n} with retries diverged");
         }
     }
@@ -860,9 +856,23 @@ mod tests {
         let partition = RegionPartition::new(&env.topology, regions.clone(), 0);
         let mut requests = workload(&env, &regions, true);
         requests.extend(spanning_workload(&env, &regions));
-        let reference = simulate_stream_pinned(&env, &requests, None, &partition, 1);
+        let reference = simulate_stream_sharded(
+            &env,
+            &requests,
+            None,
+            None,
+            &partition,
+            &ShardOpts::pinned(1),
+        );
         for n in [2, 4] {
-            let got = simulate_stream_pinned(&env, &requests, None, &partition, n);
+            let got = simulate_stream_sharded(
+                &env,
+                &requests,
+                None,
+                None,
+                &partition,
+                &ShardOpts::pinned(n),
+            );
             assert_eq!(got, reference, "pinned n={n} mixed workload diverged");
         }
     }
@@ -871,8 +881,8 @@ mod tests {
     fn pinned_empty_request_list_runs() {
         let (env, _, regions) = build_world();
         let partition = RegionPartition::new(&env.topology, regions, 0);
-        let a = simulate_stream_pinned(&env, &[], None, &partition, 1);
-        let b = simulate_stream_pinned(&env, &[], None, &partition, 4);
+        let a = simulate_stream_sharded(&env, &[], None, None, &partition, &ShardOpts::pinned(1));
+        let b = simulate_stream_sharded(&env, &[], None, None, &partition, &ShardOpts::pinned(4));
         assert_eq!(a, b);
         assert_eq!(a.trace.request_finish.len(), 0);
     }

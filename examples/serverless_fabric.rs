@@ -9,7 +9,10 @@
 //! policies are compared on throughput, latency, and endpoint balance.
 
 use continuum_core::prelude::*;
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_federation, single_site, FederationCfg, FunctionRegistry, Invocation,
+    RoutingPolicy,
+};
 
 fn main() {
     let world = Continuum::build(&Scenario::default_continuum());
@@ -20,6 +23,7 @@ fn main() {
     let mut devices = world.env().fleet.in_tier(Tier::Fog);
     devices.extend(world.env().fleet.in_tier(Tier::Cloud));
     let endpoints = endpoints_on(world.env(), &devices);
+    let sites = single_site(world.env(), &endpoints);
     println!(
         "fabric: {} endpoints ({} slots total), function 'infer' = 5 Gflop / 200 KB in",
         endpoints.len(),
@@ -49,7 +53,15 @@ fn main() {
         RoutingPolicy::LeastOutstanding,
         RoutingPolicy::Locality,
     ] {
-        let rep = run_fabric(world.env(), &registry, &endpoints, &invocations, policy);
+        let rep = run_federation(
+            world.env(),
+            &registry,
+            &endpoints,
+            &sites,
+            &invocations,
+            &FederationCfg::new(policy),
+        )
+        .fabric;
         let (p50, p95, p99) = rep.latency_percentiles();
         println!(
             "  {:<18} {:>10.1} {:>9.4} {:>9.4} {:>9.4} {:>7.3}",
