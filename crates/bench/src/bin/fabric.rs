@@ -357,6 +357,7 @@ fn main() {
     let out = json!({
         "bench": "fabric",
         "command": "cargo run --release -p continuum-bench --bin fabric",
+        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "smoke": smoke,
         "dispatch": dispatch,
         "placement": placement,

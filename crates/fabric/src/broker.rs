@@ -207,11 +207,9 @@ pub struct FabricReport {
 impl FabricReport {
     /// (p50, p95, p99) latency, seconds — exact sample quantiles.
     pub fn latency_percentiles(&self) -> (f64, f64, f64) {
-        let mut p = Percentiles::new();
-        for &l in &self.latencies_s {
-            p.push(l);
-        }
-        p.p50_p95_p99().unwrap_or((0.0, 0.0, 0.0))
+        Percentiles::from(self.latencies_s.clone())
+            .p50_p95_p99()
+            .unwrap_or((0.0, 0.0, 0.0))
     }
 
     /// Latency distribution as the shared log₂ telemetry histogram.

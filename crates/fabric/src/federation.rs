@@ -8,7 +8,8 @@
 //! instead: each site is a broker
 //! owning a pool of endpoints (sites are derived from
 //! [`RegionPartition`] regions), and a [`Forwarder`] routes every
-//! invocation to a site through the shared epoch-tagged route cache.
+//! invocation to a site and times its payload legs from the
+//! environment's dense transfer matrix.
 //!
 //! # Batched dispatch
 //!
@@ -56,8 +57,8 @@
 //! admission caps. The engine is written around that invariant — shared
 //! endpoint-state constructor, same event ordering (arrivals before
 //! same-time events, fault events before same-time runtime events), the
-//! same policy scans, and route lookups whose cached results are exactly
-//! what the reference recomputes.
+//! same policy scans, and transfer-matrix lookups that are exactly the
+//! path transfer times the reference recomputes.
 
 use crate::broker::{
     ep_states, Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, EpState,
@@ -319,9 +320,10 @@ pub struct FederationReport {
     pub batched: u64,
     /// Largest single drain.
     pub max_batch: u64,
-    /// Forwarder route-cache hits.
+    /// Forwarder route hits: repeat lookups of a `(src, dst)` pair
+    /// (see [`Forwarder::route_stats`]).
     pub route_hits: u64,
-    /// Forwarder route-cache misses.
+    /// Forwarder route misses: distinct `(src, dst)` pairs resolved.
     pub route_misses: u64,
     /// SLO burn-rate summary and flight-recorder timeline; present iff
     /// [`FederationCfg::health`] was set. Not part of the
@@ -415,6 +417,8 @@ pub fn run_federation(
     cfg: &FederationCfg,
 ) -> FederationReport {
     assert!(!endpoints.is_empty(), "no endpoints");
+    // Least-outstanding packs endpoint ids into 32 bits.
+    assert!(u32::try_from(endpoints.len()).is_ok(), "too many endpoints");
     assert!(!sites.is_empty(), "no sites");
     let n_ep = endpoints.len();
     let n_sites = sites.len();
@@ -1230,7 +1234,7 @@ pub fn run_federation(
         rejected,
         lost_work_s,
     };
-    let cache = fwd.cache_stats();
+    let routes = fwd.route_stats();
     let health_report = health.map(|h| h.finish(end_time.0));
     if let Some(t) = tele.as_deref() {
         let m = &t.metrics;
@@ -1292,8 +1296,8 @@ pub fn run_federation(
         drains,
         batched,
         max_batch,
-        route_hits: cache.hits,
-        route_misses: cache.misses,
+        route_hits: routes.hits,
+        route_misses: routes.misses,
         health: health_report,
     }
 }
@@ -1313,8 +1317,8 @@ fn fed_flow_id(inv: usize, epoch: u32) -> u64 {
 
 /// Pick an endpoint among a site's `candidates` under `policy`; `None`
 /// iff the candidate set is empty. Mirrors the oracle's endpoint choice
-/// exactly, with the route lookups going through the forwarder's cache
-/// (bit-identical results, amortized cost).
+/// exactly, with the transfer times read from the forwarder's matrix
+/// lookups instead of materialized paths (bit-identical results).
 #[allow(clippy::too_many_arguments)]
 fn choose_in_site(
     env: &Env,
@@ -1337,11 +1341,18 @@ fn choose_in_site(
             *rr_next += 1;
             ep
         }
-        RoutingPolicy::LeastOutstanding => candidates
-            .iter()
-            .copied()
-            .min_by_key(|&e| (eps[e].outstanding, e))
-            .expect("candidates non-empty"),
+        RoutingPolicy::LeastOutstanding => {
+            // One min over `outstanding << 32 | id` keys: the same
+            // (outstanding, id) order as a tuple `min_by_key`, as a plain
+            // integer min the compiler can make branch-free. Ids fit in
+            // 32 bits (asserted on entry to `run_federation`).
+            let key = candidates
+                .iter()
+                .map(|&e| (u64::from(eps[e].outstanding) << 32) | e as u64)
+                .min()
+                .expect("candidates non-empty");
+            (key & u64::from(u32::MAX)) as usize
+        }
         RoutingPolicy::Locality => {
             candidates
                 .iter()
@@ -1358,9 +1369,8 @@ fn choose_in_site(
                     let exec = dev
                         .spec
                         .compute_time_parallel(spec.work_flops, spec.parallelism);
-                    let mut lanes = eps[e].lane_est.clone();
-                    lanes.sort_unstable();
-                    let start = (now + tin).max(lanes[0]);
+                    let free = *eps[e].lane_est.iter().min().expect("endpoint has a slot");
+                    let start = (now + tin).max(free);
                     (start + exec + tout, e)
                 })
                 .min()
@@ -1645,7 +1655,7 @@ mod tests {
     }
 
     #[test]
-    fn forwarder_cache_hits_dominate_on_repeat_traffic() {
+    fn forwarder_route_hits_dominate_on_repeat_traffic() {
         let (env, partition, sensors) = world();
         let (registry, endpoints, invocations) = workload(&env, &sensors, 1000, 300.0, 5);
         let sites = sites_from_partition(&env, &partition, &endpoints, 4);

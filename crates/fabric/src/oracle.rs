@@ -611,6 +611,26 @@ mod tests {
         }
     }
 
+    /// Locality past saturation: every lane of the nearby endpoints is
+    /// booked ahead, so the pick depends on each candidate's earliest
+    /// free lane, not just on transfer times.
+    #[test]
+    fn one_site_batch_one_locality_identity_past_saturation() {
+        let (env, _, sensors) = world();
+        let (registry, endpoints, invocations) = workload(&env, &sensors, 600, 3000.0, 11);
+        let cfg = FederationCfg::new(RoutingPolicy::Locality);
+        let oracle = run_single_broker(&env, &registry, &endpoints, &invocations, &cfg);
+        let fed = run_federation(
+            &env,
+            &registry,
+            &endpoints,
+            &single_site(&env, &endpoints),
+            &invocations,
+            &cfg,
+        );
+        assert_eq!(fed.fabric, oracle);
+    }
+
     #[test]
     fn one_site_batch_one_identity_with_admission_cold_autoscale() {
         let (env, _, sensors) = world();

@@ -493,21 +493,28 @@ pub struct RouteCacheStats {
     pub epoch: u64,
 }
 
+impl RouteCacheStats {
+    /// Publish these counters into a metrics registry under `prefix`
+    /// (`{prefix}.hits`, `.misses`, `.epoch_bumps`, and the derived
+    /// `.hit_rate` gauge).
+    pub fn publish_metrics(&self, reg: &continuum_obs::MetricsRegistry, prefix: &str) {
+        reg.record(&format!("{prefix}.hits"), self.hits);
+        reg.record(&format!("{prefix}.misses"), self.misses);
+        reg.record(&format!("{prefix}.epoch_bumps"), self.epoch_bumps);
+        let total = self.hits + self.misses;
+        let rate = if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        };
+        reg.set_gauge(&format!("{prefix}.hit_rate"), rate);
+    }
+}
+
 impl RouteCache {
     /// An empty cache at epoch 0.
     pub fn new() -> RouteCache {
         RouteCache::default()
-    }
-
-    /// An empty cache pre-sized for `entries` routes (clamped to the
-    /// cache's own entry cap). Long-lived owners that know their working
-    /// set — the fabric forwarder resolves one route per (origin,
-    /// endpoint-node) pair — avoid rehash churn during warm-up.
-    pub fn with_capacity(entries: usize) -> RouteCache {
-        RouteCache {
-            map: std::collections::HashMap::with_capacity(entries.min(ROUTE_CACHE_CAP)),
-            ..RouteCache::default()
-        }
     }
 
     /// Current network epoch.
@@ -543,17 +550,7 @@ impl RouteCache {
     /// `prefix` (e.g. `"executor.route_cache"`), including the derived
     /// hit-rate gauge.
     pub fn publish_metrics(&self, reg: &continuum_obs::MetricsRegistry, prefix: &str) {
-        let s = self.snapshot();
-        reg.record(&format!("{prefix}.hits"), s.hits);
-        reg.record(&format!("{prefix}.misses"), s.misses);
-        reg.record(&format!("{prefix}.epoch_bumps"), s.epoch_bumps);
-        let total = s.hits + s.misses;
-        let rate = if total == 0 {
-            0.0
-        } else {
-            s.hits as f64 / total as f64
-        };
-        reg.set_gauge(&format!("{prefix}.hit_rate"), rate);
+        self.snapshot().publish_metrics(reg, prefix);
     }
 
     /// Look up the route for `(src, dst, class)` in the current epoch, or
@@ -830,20 +827,6 @@ mod tests {
         );
         assert_eq!(a.as_ref().map(|p| &p.links), b.as_ref().map(|p| &p.links));
         assert_eq!(cache.stats(), (1, 1));
-    }
-
-    #[test]
-    fn route_cache_with_capacity_behaves_like_new() {
-        let t = triangle();
-        let rt = RouteTable::build(&t);
-        let mut cache = RouteCache::with_capacity(1 << 20); // clamped to cap
-        let a = cache.route_with(NodeId(0), NodeId(2), 0, || {
-            rt.path(&t, NodeId(0), NodeId(2))
-        });
-        let b = cache.route_with(NodeId(0), NodeId(2), 0, || panic!("must hit cache"));
-        assert_eq!(a.as_ref().map(|p| &p.links), b.as_ref().map(|p| &p.links));
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.epoch(), 0);
     }
 
     #[test]

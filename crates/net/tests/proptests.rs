@@ -2,14 +2,25 @@
 
 use continuum_net::{
     continuum, shortest_path_avoiding, ContinuumSpec, FlowNetwork, LinkSpec, NodeId, RouteCache,
-    RouteTable, Tier, Topology,
+    RouteTable, Tier, Topology, TransferMatrix,
 };
 use continuum_sim::{Rng, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Build a random connected topology: a spanning chain plus extra edges.
 fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
+    random_topology_lat(seed, n, extra, false)
+}
+
+/// [`random_topology`], optionally with every link at the same 1 ms
+/// latency (same random stream, same links and bandwidths), which makes
+/// equal-cost splits common.
+fn random_topology_lat(seed: u64, n: usize, extra: usize, equal_latency: bool) -> Topology {
     let mut rng = Rng::new(seed);
+    let latency = |rng: &mut Rng| {
+        let us = rng.range_u64(100, 10_000);
+        SimDuration::from_micros(if equal_latency { 1_000 } else { us })
+    };
     let mut t = Topology::new();
     for i in 0..n {
         t.add_node(format!("n{i}"), Tier::Fog);
@@ -18,7 +29,7 @@ fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
         t.add_link(
             NodeId(i as u32),
             NodeId(rng.below(i as u64) as u32),
-            SimDuration::from_micros(rng.range_u64(100, 10_000)),
+            latency(&mut rng),
             rng.range_f64(1e6, 1e9),
         );
     }
@@ -29,12 +40,49 @@ fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
             t.add_link(
                 NodeId(a),
                 NodeId(b),
-                SimDuration::from_micros(rng.range_u64(100, 10_000)),
+                latency(&mut rng),
                 rng.range_f64(1e6, 1e9),
             );
         }
     }
     t
+}
+
+/// Every node pair of `t`: the dense [`TransferMatrix`] answers exactly
+/// what materializing the canonical path answers — latency, bottleneck
+/// and transfer time bit for bit, and `None` on the same (disconnected)
+/// pairs. Returns how many pairs were disconnected.
+fn assert_matrix_matches_paths(t: &Topology) -> usize {
+    let rt = RouteTable::build(t);
+    let tm: TransferMatrix = rt.transfer_matrix(t);
+    assert_eq!(tm.node_count(), t.node_count());
+    let mut disconnected = 0;
+    for i in 0..t.node_count() as u32 {
+        for j in 0..t.node_count() as u32 {
+            let (a, b) = (NodeId(i), NodeId(j));
+            let path = rt.path(t, a, b);
+            assert_eq!(tm.latency(a, b), path.as_ref().map(|p| p.latency));
+            assert_eq!(
+                tm.bottleneck_bps(a, b).map(f64::to_bits),
+                path.as_ref().map(|p| p.bottleneck_bps.to_bits()),
+                "{}->{}",
+                a,
+                b
+            );
+            for bytes in [0u64, 1, 1500, 200 << 10, 1 << 34] {
+                assert_eq!(
+                    tm.transfer_time(a, b, bytes),
+                    path.as_ref().map(|p| p.transfer_time(bytes)),
+                    "{}->{} {}B",
+                    a,
+                    b,
+                    bytes
+                );
+            }
+            disconnected += usize::from(path.is_none());
+        }
+    }
+    disconnected
 }
 
 proptest! {
@@ -172,6 +220,57 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The transfer matrix equals materialized canonical paths on every
+    /// pair of a random connected topology, with random or with equal
+    /// link latencies (equal latencies make equal-cost splits common, so
+    /// the matrix must pick the same canonical branch the path walk does).
+    #[test]
+    fn transfer_matrix_matches_paths(
+        seed in any::<u64>(),
+        n in 2usize..30,
+        extra in 0usize..30,
+        equal_latency in any::<bool>(),
+    ) {
+        let t = random_topology_lat(seed, n, extra, equal_latency);
+        prop_assert_eq!(assert_matrix_matches_paths(&t), 0);
+    }
+
+    /// Same equivalence on fat trees, where every host pair across pods
+    /// has many equal-cost paths.
+    #[test]
+    fn transfer_matrix_matches_paths_on_fat_tree(
+        half in 1usize..4,
+        hosts in 1usize..3,
+        bw in 1e6f64..1e10,
+    ) {
+        let link = LinkSpec::new(SimDuration::from_micros(50), bw);
+        let (t, _) = continuum_net::fat_tree(2 * half, hosts, link);
+        prop_assert_eq!(assert_matrix_matches_paths(&t), 0);
+    }
+
+    /// Disconnected pairs give `None` from both the matrix and the path
+    /// walk: a random component plus an island (one isolated node or a
+    /// linked pair) that no link joins to it.
+    #[test]
+    fn transfer_matrix_disconnected_pairs_are_none(
+        seed in any::<u64>(),
+        n in 2usize..20,
+        extra in 0usize..10,
+        island_linked in any::<bool>(),
+    ) {
+        let mut t = random_topology(seed, n, extra);
+        let x = t.add_node("island0", Tier::Edge);
+        let island = if island_linked {
+            let y = t.add_node("island1", Tier::Edge);
+            t.add_link(x, y, SimDuration::from_millis(1), 1e8);
+            2
+        } else {
+            1
+        };
+        // Every ordered pair with one end on each side is disconnected.
+        prop_assert_eq!(assert_matrix_matches_paths(&t), 2 * n * island);
     }
 
     /// The dumbbell trunk is never oversubscribed and is fully used when

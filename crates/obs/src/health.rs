@@ -179,11 +179,19 @@ impl BurnWindow {
     /// Burn rate as of `now_ns`: (windowed bad fraction) / budget.
     /// 0.0 for an empty window.
     pub fn burn(&self, now_ns: u64, budget: f64) -> f64 {
-        let s = self.stats(now_ns);
-        if s.total == 0 || budget <= 0.0 {
+        self.stats(now_ns).burn(budget)
+    }
+}
+
+impl WindowStats {
+    /// Burn rate of these aggregates: (bad fraction) / budget, 0.0 for
+    /// an empty window. Lets a caller that also needs the p99 merge the
+    /// window's histograms once.
+    pub fn burn(&self, budget: f64) -> f64 {
+        if self.total == 0 || budget <= 0.0 {
             0.0
         } else {
-            (s.bad as f64 / s.total as f64) / budget
+            (self.bad as f64 / self.total as f64) / budget
         }
     }
 }
@@ -451,11 +459,12 @@ impl HealthPlane {
     /// Take one flight-recorder sample at sim time `at_ns`, attaching
     /// the caller's `gauges`. Also runs burn-threshold edge detection.
     pub fn sample(&mut self, at_ns: u64, gauges: Vec<(String, f64)>) {
-        let burn_short = self.short.burn(at_ns, self.spec.budget);
+        let short = self.short.stats(at_ns);
+        let burn_short = short.burn(self.spec.budget);
         let burn_long = self.long.burn(at_ns, self.spec.budget);
         self.burn_short_peak = self.burn_short_peak.max(burn_short);
         self.burn_long_peak = self.burn_long_peak.max(burn_long);
-        let p99_short_ns = self.short.stats(at_ns).p99_ns;
+        let p99_short_ns = short.p99_ns;
         self.recorder.push(Frame {
             at_ns,
             burn_short,

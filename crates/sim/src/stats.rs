@@ -159,8 +159,11 @@ impl Percentiles {
             return None;
         }
         if !self.sorted {
+            // Unstable is exact here: samples that compare equal are equal
+            // values (±0.0 is the only such pair with different bits), so
+            // their relative order cannot change a quantile's value.
             self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
             self.sorted = true;
         }
         let q = q.clamp(0.0, 1.0);
@@ -183,6 +186,17 @@ impl Percentiles {
             self.quantile(0.95)?,
             self.quantile(0.99)?,
         ))
+    }
+}
+
+impl From<Vec<f64>> for Percentiles {
+    /// Take ownership of a whole sample set at once (sorted lazily on
+    /// the first quantile query, like pushed samples).
+    fn from(samples: Vec<f64>) -> Self {
+        Percentiles {
+            sorted: samples.len() < 2,
+            samples,
+        }
     }
 }
 
@@ -392,6 +406,43 @@ mod tests {
         assert_eq!(p.quantile(0.0), Some(1.0));
         assert_eq!(p.quantile(1.0), Some(100.0));
         assert!((p.median().unwrap() - 50.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unstable_sort_quantiles_match_stable_sort_with_duplicates() {
+        // Few distinct values over many samples: long runs of ties.
+        let mut z = 0x2545_F491_4F6C_DD1Du64;
+        let xs: Vec<f64> = (0..5000)
+            .map(|_| {
+                z ^= z << 13;
+                z ^= z >> 7;
+                z ^= z << 17;
+                (z % 37) as f64 * 0.125
+            })
+            .collect();
+        let mut stable = xs.clone();
+        stable.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        let mut p = Percentiles::from(xs.clone());
+        let mut pushed = Percentiles::new();
+        for &x in &xs {
+            pushed.push(x);
+        }
+        for i in 0..=200 {
+            let q = i as f64 / 200.0;
+            let pos = q * (stable.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            let frac = pos - lo as f64;
+            let want = stable[lo] * (1.0 - frac) + stable[hi] * frac;
+            assert_eq!(p.quantile(q).unwrap().to_bits(), want.to_bits(), "q={q}");
+            assert_eq!(pushed.quantile(q).unwrap().to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN sample")]
+    fn percentiles_reject_nan() {
+        let mut p = Percentiles::from(vec![1.0, f64::NAN, 0.5]);
+        p.quantile(0.5);
     }
 
     #[test]

@@ -531,4 +531,15 @@ fn federation_telemetry_on_is_bit_identical_to_off() {
     assert_eq!(off.route_hits, on.route_hits);
     assert_eq!(off.route_misses, on.route_misses);
     assert!(off.fabric.completed > 0, "fixture actually completed work");
+    // The forwarder's route counters reach the snapshot under their keys.
+    let snap = tele.metrics.snapshot();
+    assert!(on.route_hits > 0 && on.route_misses > 0);
+    assert_eq!(snap.counter("fabric.forwarder.hits"), on.route_hits);
+    assert_eq!(snap.counter("fabric.forwarder.misses"), on.route_misses);
+    assert_eq!(snap.counter("fabric.forwarder.epoch_bumps"), 0);
+    let total = (on.route_hits + on.route_misses) as f64;
+    assert_eq!(
+        snap.gauge("fabric.forwarder.hit_rate"),
+        Some(on.route_hits as f64 / total)
+    );
 }
