@@ -42,6 +42,15 @@
 //! property, and on the monotone per-flow `seq` used to break
 //! completion-time ties identically in every engine instance.
 //!
+//! Completion keys are stored, not recomputed: whenever a flow
+//! re-anchors at a positive rate, its projected finish `anchor +
+//! remaining / rate` is computed once and kept on the slot. Since the
+//! anchor triple only changes at a re-anchor, the stored key equals what
+//! the projection would give at any later call, so `next_completion` is
+//! a min over integer `(finish, seq)` keys with no float division per
+//! active flow. A test-only oracle recomputes the projection per call
+//! and is cross-checked against the stored keys by a property test.
+//!
 //! An ablation experiment compares this model against the naive
 //! "bottleneck-only" estimate of [`crate::routing::Path::transfer_time`].
 
@@ -87,6 +96,10 @@ struct FlowSlot {
     rate: f64, // bytes/s, max-min fair share
     /// When `remaining` was sampled.
     anchor: SimTime,
+    /// Projected completion, `anchor + remaining / rate`, computed when
+    /// the flow re-anchors at a positive rate. Stale (and ignored) while
+    /// `rate` is 0.
+    finish: SimTime,
     /// Start order, monotone per engine. Completion ties break on `seq`
     /// rather than [`FlowId`] because slot reuse makes id order depend on
     /// removal history, while start order is reproducible across engine
@@ -309,6 +322,7 @@ impl FlowNetwork {
                     remaining: 0.0,
                     rate: 0.0,
                     anchor: SimTime::ZERO,
+                    finish: SimTime::ZERO,
                     seq: 0,
                 });
                 self.slot_pos.push(0);
@@ -471,7 +485,29 @@ impl FlowNetwork {
     ///
     /// Flows stalled at rate zero (e.g. crossing a failed link) never
     /// complete and are excluded; they reappear once capacity returns.
+    ///
+    /// Each flow's completion is projected once, when it re-anchors (see
+    /// [`projected_finish`]), so this is a min over stored integer
+    /// `(finish, seq)` keys: ties break by start order (`seq`), which is
+    /// reproducible across engine instances; slot ids are not (LIFO
+    /// reuse).
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+        self.ensure_rates();
+        self.active_slots
+            .iter()
+            .filter_map(|&s| {
+                let f = &self.slots[s as usize];
+                (f.rate > 0.0).then_some((f.finish, f.seq, s))
+            })
+            .min_by_key(|&(t, seq, _)| (t, seq))
+            .map(|(t, _, s)| (t, FlowId::new(s, self.slots[s as usize].generation)))
+    }
+
+    /// [`Self::next_completion`] recomputing every projection from the
+    /// anchor triple on each call: the formula the stored keys must
+    /// reproduce bit for bit.
+    #[cfg(test)]
+    fn next_completion_oracle(&mut self) -> Option<(SimTime, FlowId)> {
         self.ensure_rates();
         self.active_slots
             .iter()
@@ -480,17 +516,8 @@ impl FlowNetwork {
                 if f.rate <= 0.0 {
                     return None;
                 }
-                // Completion is projected from the flow's anchor, not the
-                // current clock: the anchor is the last instant its rate
-                // changed, so `remaining` is exact there and the flow has
-                // drained at `rate` ever since. Clamp so the nanosecond
-                // conversion cannot overflow the clock; no real flow takes
-                // anywhere near 1e9 seconds.
-                let dt = (f.remaining / f.rate).min(1e9);
-                // Ties broken by start order (`seq`), which is reproducible
-                // across engine instances; slot ids are not (LIFO reuse).
                 Some((
-                    f.anchor + SimDuration::from_secs_f64(dt),
+                    projected_finish(f.anchor, f.remaining, f.rate),
                     f.seq,
                     FlowId::new(s, f.generation),
                 ))
@@ -633,6 +660,9 @@ impl FlowNetwork {
                         }
                         f.anchor = now;
                         f.rate = min_share;
+                        if min_share > 0.0 {
+                            f.finish = projected_finish(now, f.remaining, min_share);
+                        }
                     }
                     remaining_flows -= 1;
                     for &l in self.slots[s].links.iter() {
@@ -732,12 +762,23 @@ impl FlowNetwork {
     }
 }
 
+/// Completion time of a flow with `remaining` bytes at `anchor`, draining
+/// at `rate > 0`. Projected from the anchor, not the current clock: the
+/// anchor is the last instant the rate changed, so `remaining` is exact
+/// there and the flow has drained at `rate` ever since. Clamped so the
+/// nanosecond conversion cannot overflow the clock; no real flow takes
+/// anywhere near 1e9 seconds.
+fn projected_finish(anchor: SimTime, remaining: f64, rate: f64) -> SimTime {
+    anchor + SimDuration::from_secs_f64((remaining / rate).min(1e9))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::RouteTable;
     use crate::topology::{NodeId, Tier, Topology};
-    use continuum_sim::SimDuration;
+    use continuum_sim::{Rng, SimDuration};
+    use proptest::prelude::*;
 
     /// Linear chain a - b - c with 1e6 B/s links, negligible latency.
     fn chain() -> (Topology, RouteTable) {
@@ -1019,5 +1060,100 @@ mod tests {
         let rates = fnw.oracle_rates();
         assert_eq!(rates.len(), 1);
         assert_eq!(rates[0].0, c);
+    }
+
+    /// A random connected topology: a spanning chain plus `extra` links,
+    /// with mixed bandwidths so rates differ and completions interleave.
+    fn random_net(rng: &mut Rng, n: usize, extra: usize) -> Topology {
+        let mut t = Topology::new();
+        for i in 0..n {
+            t.add_node(format!("n{i}"), Tier::Fog);
+        }
+        let link = |t: &mut Topology, a: usize, b: usize, rng: &mut Rng| {
+            let bw = [1e6, 2.5e6, 1e7, 3e8][rng.index(4)];
+            t.add_link(
+                NodeId(a as u32),
+                NodeId(b as u32),
+                SimDuration::from_micros(rng.range_u64(1, 500)),
+                bw,
+            );
+        };
+        for i in 1..n {
+            let j = rng.index(i);
+            link(&mut t, i, j, rng);
+        }
+        for _ in 0..extra {
+            let (a, b) = (rng.index(n), rng.index(n));
+            if a != b {
+                link(&mut t, a, b, rng);
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The stored `(finish, seq)` completion keys pick exactly the
+        /// flow and time the per-call projection picks, after every op of
+        /// a random sequence of starts, cancels, completions, link
+        /// failures and restores. Completions and cancels free slots that
+        /// later starts reuse, so stale keys on recycled slots are
+        /// exercised too.
+        #[test]
+        fn stored_completion_keys_match_projection(
+            seed in any::<u64>(),
+            n in 3usize..10,
+            ops in 10usize..120,
+        ) {
+            let mut rng = Rng::new(seed);
+            let t = random_net(&mut rng, n, n);
+            let rt = RouteTable::build(&t);
+            let n_links = t.links().len();
+            let mut fnw = FlowNetwork::new(&t);
+            let mut live: Vec<FlowId> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..ops {
+                match rng.below(8) {
+                    0..=2 => {
+                        let (a, b) = (rng.index(n), rng.index(n));
+                        if a == b {
+                            continue;
+                        }
+                        let p = rt.path(&t, NodeId(a as u32), NodeId(b as u32)).unwrap();
+                        let bytes = rng.range_u64(1, 5_000_000);
+                        if let Some(id) = fnw.start(now, &p, bytes) {
+                            live.push(id);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.index(live.len()));
+                        fnw.remove(now, id);
+                    }
+                    4 | 5 => {
+                        // Run the next completion, as an event loop does.
+                        if let Some((at, id)) = fnw.next_completion() {
+                            now = now.max(at);
+                            fnw.remove(now, id);
+                            live.retain(|&f| f != id);
+                        }
+                    }
+                    6 => {
+                        let l = LinkId(rng.index(n_links) as u32);
+                        for a in fnw.fail_link(now, l) {
+                            live.retain(|&f| f != a.id);
+                        }
+                    }
+                    _ => {
+                        let l = LinkId(rng.index(n_links) as u32);
+                        fnw.restore_link(now, l);
+                    }
+                }
+                now += SimDuration::from_micros(rng.range_u64(0, 200_000));
+                fnw.advance(now);
+                let want = fnw.next_completion_oracle();
+                prop_assert_eq!(fnw.next_completion(), want);
+            }
+        }
     }
 }

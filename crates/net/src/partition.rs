@@ -191,48 +191,53 @@ impl RegionPartition {
     /// `region`'s flow domain, and hand off `gap` after they finish. The
     /// sum of every leg's `latency + gap` equals the path's end-to-end
     /// latency. Local (zero-hop) paths yield no segments.
-    pub fn segment_route(&self, topo: &Topology, path: &Path) -> Vec<RouteSeg> {
-        let mut segs = Vec::new();
+    ///
+    /// The legs are built straight into the shared slice (the leg count
+    /// is known up front), and each leg's links are one copy of its run
+    /// of `path.links`.
+    pub fn segment_route(&self, topo: &Topology, path: &Path) -> Arc<[RouteSeg]> {
+        let links = &path.links;
+        let cuts = links.iter().filter(|&&l| self.is_boundary(l)).count();
+        let tail = links.last().is_some_and(|&l| !self.is_boundary(l));
         let mut cur = path.src;
-        let mut seg_src = path.src;
-        let mut links: Vec<LinkId> = Vec::new();
-        let mut latency = SimDuration::ZERO;
-        let mut bottleneck = f64::INFINITY;
-        for &lid in path.links.iter() {
-            let l = topo.link(lid);
-            let next = if l.a == cur { l.b } else { l.a };
-            links.push(lid);
-            bottleneck = bottleneck.min(l.bandwidth_bps);
-            if self.is_boundary(lid) {
-                segs.push(RouteSeg {
-                    links: std::mem::take(&mut links).into(),
-                    src: seg_src,
-                    dst: next,
-                    region: self.region_of[seg_src.0 as usize],
-                    latency,
-                    gap: l.latency,
-                    bottleneck_bps: bottleneck,
-                });
-                seg_src = next;
-                latency = SimDuration::ZERO;
-                bottleneck = f64::INFINITY;
-            } else {
-                latency += l.latency;
-            }
-            cur = next;
-        }
-        if !links.is_empty() {
-            segs.push(RouteSeg {
-                links: links.into(),
-                src: seg_src,
-                dst: path.dst,
-                region: self.region_of[seg_src.0 as usize],
-                latency,
-                gap: SimDuration::ZERO,
-                bottleneck_bps: bottleneck,
-            });
-        }
-        segs
+        let mut start = 0;
+        (0..cuts + usize::from(tail))
+            .map(|_| {
+                let seg_src = cur;
+                let region = self.region_of[seg_src.0 as usize];
+                let mut latency = SimDuration::ZERO;
+                let mut bottleneck = f64::INFINITY;
+                let mut i = start;
+                loop {
+                    let lid = links[i];
+                    let l = topo.link(lid);
+                    cur = if l.a == cur { l.b } else { l.a };
+                    bottleneck = bottleneck.min(l.bandwidth_bps);
+                    i += 1;
+                    let boundary = self.is_boundary(lid);
+                    if boundary || i == links.len() {
+                        let gap = if boundary {
+                            l.latency
+                        } else {
+                            latency += l.latency;
+                            SimDuration::ZERO
+                        };
+                        let seg = RouteSeg {
+                            links: Arc::from(&links[start..i]),
+                            src: seg_src,
+                            dst: cur,
+                            region,
+                            latency,
+                            gap,
+                            bottleneck_bps: bottleneck,
+                        };
+                        start = i;
+                        return seg;
+                    }
+                    latency += l.latency;
+                }
+            })
+            .collect()
     }
 
     /// The per-direction conservative lookahead for a shard owning the

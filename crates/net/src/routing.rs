@@ -69,6 +69,10 @@ impl Path {
     }
 }
 
+/// Hops a path walk collects on the stack: deeper than any continuum or
+/// fat-tree route (longer paths spill to the heap).
+const PATH_HOPS_HINT: usize = 16;
+
 /// Sentinel distance for "unreachable" in the flattened arena; no real
 /// path accumulates `u64::MAX` nanoseconds.
 const UNREACHABLE: SimDuration = SimDuration(u64::MAX);
@@ -183,7 +187,12 @@ impl RouteTable {
             return Some(Path::trivial(src));
         }
         self.distance(src, dst)?;
-        let mut links_rev = Vec::new();
+        // The walk runs dst -> src, so links fill `tail` back to front;
+        // hops beyond its length (closer to `src`) spill into a Vec. The
+        // shared link list is then the only allocation of a typical walk.
+        let mut tail = [LinkId(0); PATH_HOPS_HINT];
+        let mut spill: Vec<LinkId> = Vec::new();
+        let mut hops = 0usize;
         let mut cur = dst;
         let mut bottleneck = f64::INFINITY;
         let mut latency = SimDuration::ZERO;
@@ -199,17 +208,28 @@ impl RouteTable {
                     as usize
             };
             let (p, l) = choices[pick];
-            links_rev.push(l);
+            if hops < PATH_HOPS_HINT {
+                tail[PATH_HOPS_HINT - 1 - hops] = l;
+            } else {
+                spill.push(l);
+            }
+            hops += 1;
             let link = topo.link(l);
             bottleneck = bottleneck.min(link.bandwidth_bps);
             latency += link.latency;
             cur = p;
         }
-        links_rev.reverse();
+        let links: Arc<[LinkId]> = if spill.is_empty() {
+            Arc::from(&tail[PATH_HOPS_HINT - hops..])
+        } else {
+            spill.reverse();
+            spill.extend_from_slice(&tail);
+            spill.into()
+        };
         Some(Path {
             src,
             dst,
-            links: links_rev.into(),
+            links,
             latency,
             bottleneck_bps: bottleneck,
         })
@@ -681,6 +701,33 @@ mod tests {
             rt.distance(NodeId(0), NodeId(2)),
             Some(SimDuration::from_millis(11))
         );
+    }
+
+    #[test]
+    fn paths_longer_than_the_stack_buffer_keep_link_order() {
+        // A chain of 2 * PATH_HOPS_HINT + 3 links, so the walk spills.
+        let n = 2 * PATH_HOPS_HINT + 4;
+        let mut t = Topology::new();
+        for i in 0..n {
+            t.add_node(format!("n{i}"), Tier::Fog);
+        }
+        for i in 1..n {
+            t.add_link(
+                NodeId(i as u32 - 1),
+                NodeId(i as u32),
+                SimDuration::from_micros(10 + i as u64),
+                1e9 - i as f64,
+            );
+        }
+        let rt = RouteTable::build(&t);
+        for (src, dst) in [(0, n - 1), (3, PATH_HOPS_HINT + 3), (5, PATH_HOPS_HINT + 6)] {
+            let p = rt.path(&t, NodeId(src as u32), NodeId(dst as u32)).unwrap();
+            let want: Vec<LinkId> = (src..dst).map(|i| LinkId(i as u32)).collect();
+            assert_eq!(&p.links[..], &want[..], "{src} -> {dst}");
+            let lat: u64 = (src + 1..=dst).map(|i| 10 + i as u64).sum();
+            assert_eq!(p.latency, SimDuration::from_micros(lat));
+            assert_eq!(p.bottleneck_bps, 1e9 - dst as f64);
+        }
     }
 
     #[test]

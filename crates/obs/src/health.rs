@@ -152,22 +152,24 @@ impl BurnWindow {
         }
     }
 
-    /// Window aggregates as of sim time `now_ns`.
-    pub fn stats(&self, now_ns: u64) -> WindowStats {
+    /// The slots whose epoch lies inside the window ending at `now_ns`.
+    fn in_window(&self, now_ns: u64) -> impl Iterator<Item = &Slot> {
         let cur = now_ns / self.slot_ns;
         let oldest = cur.saturating_sub(SLOTS as u64 - 1);
+        self.slots
+            .iter()
+            .filter(move |s| s.epoch.is_some_and(|e| e >= oldest && e <= cur))
+    }
+
+    /// Window aggregates as of sim time `now_ns`.
+    pub fn stats(&self, now_ns: u64) -> WindowStats {
         let mut total = 0u64;
         let mut bad = 0u64;
         let mut merged = Histogram::default();
-        for slot in &self.slots {
-            match slot.epoch {
-                Some(e) if e >= oldest && e <= cur => {
-                    total += slot.hist.count;
-                    bad += slot.bad;
-                    merged.merge(&slot.hist);
-                }
-                _ => {}
-            }
+        for slot in self.in_window(now_ns) {
+            total += slot.hist.count;
+            bad += slot.bad;
+            merged.merge(&slot.hist);
         }
         WindowStats {
             total,
@@ -177,9 +179,13 @@ impl BurnWindow {
     }
 
     /// Burn rate as of `now_ns`: (windowed bad fraction) / budget.
-    /// 0.0 for an empty window.
+    /// 0.0 for an empty window. Sums the slot counts only; the histogram
+    /// merge behind [`Self::stats`]' p99 is skipped.
     pub fn burn(&self, now_ns: u64, budget: f64) -> f64 {
-        self.stats(now_ns).burn(budget)
+        let (total, bad) = self
+            .in_window(now_ns)
+            .fold((0u64, 0u64), |(t, b), s| (t + s.hist.count, b + s.bad));
+        burn_rate(total, bad, budget)
     }
 }
 
@@ -188,11 +194,16 @@ impl WindowStats {
     /// an empty window. Lets a caller that also needs the p99 merge the
     /// window's histograms once.
     pub fn burn(&self, budget: f64) -> f64 {
-        if self.total == 0 || budget <= 0.0 {
-            0.0
-        } else {
-            (self.bad as f64 / self.total as f64) / budget
-        }
+        burn_rate(self.total, self.bad, budget)
+    }
+}
+
+/// (bad fraction) / budget, 0.0 for an empty window.
+fn burn_rate(total: u64, bad: u64, budget: f64) -> f64 {
+    if total == 0 || budget <= 0.0 {
+        0.0
+    } else {
+        (bad as f64 / total as f64) / budget
     }
 }
 
@@ -560,6 +571,22 @@ mod tests {
         // bad fraction 0.2 over budget 0.1 → burn 2.0.
         assert!((w.burn(S, 0.1) - 2.0).abs() < 1e-12);
         assert!(s.p99_ns >= 100_000_000);
+    }
+
+    #[test]
+    fn burn_window_count_only_burn_equals_stats_burn() {
+        let mut w = BurnWindow::new(30 * S);
+        for i in 0..500u64 {
+            let lat = (i * 7_919_993) % 300_000_000;
+            w.observe(i * S / 7, lat, 100_000_000);
+        }
+        for now in (0..120).map(|k| k * S / 2) {
+            assert_eq!(
+                w.burn(now, 0.1).to_bits(),
+                w.stats(now).burn(0.1).to_bits(),
+                "burn at {now}"
+            );
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use continuum_obs::{
 use continuum_placement::Env;
 use continuum_sim::{ConservativeDriver, Lookahead, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Knobs for one open-loop run.
 #[derive(Debug, Clone, Copy)]
@@ -223,7 +224,7 @@ pub fn simulate_open_loop(
         } else {
             admitted += 1;
             saturated = false;
-            core.inject_request(gid, r);
+            core.inject_request(gid, Arc::new(r));
         }
     }
     core.pump(None);
@@ -334,7 +335,7 @@ impl Gate {
     /// participant has retired.
     fn drain(&mut self, shards: &mut [PinShard<'_>]) {
         for s in shards {
-            for (gid, fin) in s.core.take_finished() {
+            for (gid, fin) in s.core.drain_finished() {
                 let e = self
                     .outstanding
                     .get_mut(&gid)
@@ -442,8 +443,12 @@ pub fn simulate_open_loop_sharded(
             saturated = false;
             let participants = pinned_participants(env, &r, partition, n);
             gate.admit(gid, participants.len() as u32, r.arrival);
+            // One shared request for every participant shard.
+            let r = Arc::new(r);
             for &s in &participants {
-                driver.shards_mut()[s].core.inject_request(gid, r.clone());
+                driver.shards_mut()[s]
+                    .core
+                    .inject_request(gid, Arc::clone(&r));
             }
         }
     }

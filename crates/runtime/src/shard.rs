@@ -303,8 +303,7 @@ impl ShardModel for PinShard<'_> {
         }
         self.core.pump(horizon);
         self.core
-            .take_outbox()
-            .into_iter()
+            .drain_outbox()
             .map(|(at, region, msg)| {
                 self.seq += 1;
                 Envelope {

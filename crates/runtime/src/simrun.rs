@@ -312,10 +312,12 @@ fn xfer_salt(req: usize, item: DataId) -> u64 {
     ((req as u64) << 32) | (item.0 as u64) | (1 << 63)
 }
 
-/// Immutable per-request input plan, built once at simulation start: each
-/// task's inputs deduped and sorted, CSR-packed. Kills the seed's
-/// per-event `t.inputs.clone()` + sort + dedup (arrival and every
-/// re-placement re-paid it).
+/// Immutable per-request input plan, built once per request: each task's
+/// inputs deduped and sorted, CSR-packed. Kills the seed's per-event
+/// `t.inputs.clone()` + sort + dedup (arrival and every re-placement
+/// re-paid it). A streaming core rebuilds a retired slot's plan in place
+/// ([`ReqPlan::rebuild`]), reusing its buffers.
+#[derive(Default)]
 struct ReqPlan {
     /// CSR offsets into `inputs`, length `tasks + 1`.
     in_off: Vec<u32>,
@@ -327,8 +329,21 @@ struct ReqPlan {
 
 impl ReqPlan {
     fn build(dag: &Dag) -> ReqPlan {
-        let mut in_off = Vec::with_capacity(dag.len() + 1);
-        let mut inputs: Vec<DataId> = Vec::new();
+        let mut plan = ReqPlan::default();
+        plan.rebuild(dag);
+        plan
+    }
+
+    /// Replace this plan with `dag`'s, keeping the buffers' capacity.
+    fn rebuild(&mut self, dag: &Dag) {
+        let ReqPlan {
+            in_off,
+            inputs,
+            n_items,
+        } = self;
+        in_off.clear();
+        inputs.clear();
+        in_off.reserve(dag.len() + 1);
         in_off.push(0u32);
         for t in dag.tasks() {
             let start = inputs.len();
@@ -345,11 +360,14 @@ impl ReqPlan {
             inputs.truncate(w);
             in_off.push(inputs.len() as u32);
         }
-        ReqPlan {
-            in_off,
-            inputs,
-            n_items: dag.data_items().len(),
-        }
+        *n_items = dag.data_items().len();
+    }
+
+    /// Drop the plan's contents, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.in_off.clear();
+        self.inputs.clear();
+        self.n_items = 0;
     }
 
     /// Distinct, sorted inputs of `t`.
@@ -393,6 +411,7 @@ struct ItemSlot {
 /// NodeId-ordered access to exactly the destinations that registered
 /// interest (the seed scanned every waiter key of the whole request, in
 /// nondeterministic hash order).
+#[derive(Default)]
 struct ReqState {
     /// Distinct input items still missing, per task.
     missing: Vec<u32>,
@@ -412,9 +431,63 @@ struct ReqState {
     /// nodes in regions other cores own, which `item_slots` never sees.
     /// Built at arrival from the static placement; empty otherwise.
     fanout: Vec<Vec<NodeId>>,
+    /// Emptied waiter lists of cleared slots, handed to the next slots
+    /// interned so a recycled request slot allocates no new lists.
+    spare_waiters: Vec<Vec<TaskId>>,
+}
+
+/// Resize `lists` to `n` empty lists, keeping the surviving lists'
+/// capacity.
+fn reset_lists<T>(lists: &mut Vec<Vec<T>>, n: usize) {
+    lists.truncate(n);
+    for l in lists.iter_mut() {
+        l.clear();
+    }
+    lists.resize_with(n, Vec::new);
 }
 
 impl ReqState {
+    /// Fresh state for a request about to arrive.
+    fn new(plan: &ReqPlan, dag: &Dag) -> ReqState {
+        let mut st = ReqState::default();
+        st.rebuild(plan, dag);
+        st
+    }
+
+    /// Reset to the state of a request about to arrive, keeping every
+    /// buffer's capacity. `fanout` is sized by the partition-mode arrival
+    /// that fills it.
+    fn rebuild(&mut self, plan: &ReqPlan, dag: &Dag) {
+        self.clear();
+        self.missing.extend(
+            dag.tasks()
+                .iter()
+                .map(|t| plan.inputs_of(t.id).len() as u32),
+        );
+        self.unfinished = dag.len();
+        self.started.resize(dag.len(), false);
+        reset_lists(&mut self.item_slots, plan.n_items);
+    }
+
+    /// Drop the state's contents, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.missing.clear();
+        self.unfinished = 0;
+        self.started.clear();
+        self.slot_of.clear();
+        for s in self.slots.drain(..) {
+            let mut w = s.waiters;
+            w.clear();
+            self.spare_waiters.push(w);
+        }
+        for l in &mut self.item_slots {
+            l.clear();
+        }
+        for l in &mut self.fanout {
+            l.clear();
+        }
+    }
+
     /// Intern `(item, node)`, creating an [`SlotState::Absent`] slot on
     /// first sight.
     fn intern(&mut self, item: DataId, node: NodeId) -> u32 {
@@ -426,7 +499,7 @@ impl ReqState {
                     item,
                     node,
                     state: SlotState::Absent,
-                    waiters: Vec::new(),
+                    waiters: self.spare_waiters.pop().unwrap_or_default(),
                 });
                 let slots = &self.slots;
                 let by_item = &mut self.item_slots[item.0 as usize];
@@ -654,12 +727,14 @@ fn fault_draw(fs: &FaultSpec, gid: usize, task: TaskId, attempt: u32) -> bool {
 }
 
 /// Storage of one request slot. Closed-loop cores borrow every request
-/// from the caller's slice for the whole run; open-loop cores own each
-/// injected request and free the slot (`Free`) when it retires, so memory
-/// tracks *active* requests, not total.
+/// from the caller's slice for the whole run. Open-loop cores hold each
+/// injected request through a shared [`Arc`] — a request spanning several
+/// pinned shards is one allocation, not one deep copy per shard — and
+/// drop their reference (`Free`) when it retires, so memory tracks
+/// *active* requests, not total.
 enum ReqEntry<'a> {
     Borrowed(&'a StreamRequest),
-    Owned(Box<StreamRequest>),
+    Owned(Arc<StreamRequest>),
     Free,
 }
 
@@ -710,6 +785,21 @@ impl StreamSink {
             completions: None,
         }
     }
+}
+
+/// The work lists one event produces (see [`ExecCore::step`]). They live
+/// on the core between events so their capacity survives: every event
+/// starts with all four empty and leaves them empty.
+#[derive(Default)]
+struct WorkLists {
+    /// Slots that became present.
+    made_present: Vec<(usize, u32)>,
+    /// Devices whose ready queues should be rescanned.
+    dispatch_devices: Vec<usize>,
+    /// Tasks needing re-placement.
+    to_replace: Vec<(usize, TaskId)>,
+    /// Partition mode: owned regions whose flow domain changed.
+    regions_changed: Vec<u32>,
 }
 
 /// One executor core: the complete event-driven machinery — event queue,
@@ -824,6 +914,8 @@ pub(crate) struct ExecCore<'a> {
     /// through the outbox. `None` preserves the confined executors bit
     /// for bit.
     part: Option<PartCtx<'a>>,
+    /// Per-event work lists, empty between events.
+    work: WorkLists,
 }
 
 /// Partitioned-execution state bolted onto an [`ExecCore`] by
@@ -853,10 +945,14 @@ struct PartCtx<'a> {
     /// Global request id -> local slot, for delivery lookups.
     local_of_gid: HashMap<usize, usize>,
     /// Streaming mode: `(gid, local finish)` of every request retired
-    /// since the last [`ExecCore::take_finished`] drain. The open-loop
+    /// since the last [`ExecCore::drain_finished`] drain. The open-loop
     /// shard driver folds these into true request latencies (the max
     /// finish across participating cores).
     finished_log: Vec<(usize, SimTime)>,
+    /// `(item, source, destination, bytes)` transfers one arrival or
+    /// publish initiates, collected before any starts. Empty between
+    /// events; kept for its capacity.
+    sends: Vec<(DataId, NodeId, NodeId, u64)>,
 }
 
 impl<'a> ExecCore<'a> {
@@ -919,20 +1015,7 @@ impl<'a> ExecCore<'a> {
         let states: Vec<ReqState> = requests
             .iter()
             .zip(&plans)
-            .map(|(r, plan)| ReqState {
-                missing: r
-                    .dag
-                    .tasks()
-                    .iter()
-                    .map(|t| plan.inputs_of(t.id).len() as u32)
-                    .collect(),
-                unfinished: r.dag.len(),
-                started: vec![false; r.dag.len()],
-                slot_of: HashMap::new(),
-                slots: Vec::new(),
-                item_slots: vec![Vec::new(); plan.n_items],
-                fanout: Vec::new(),
-            })
+            .map(|(r, plan)| ReqState::new(plan, &r.dag))
             .collect();
         let trace = ExecutionTrace {
             request_arrival: requests.iter().map(|r| r.arrival).collect(),
@@ -991,6 +1074,7 @@ impl<'a> ExecCore<'a> {
             compact_at: usize::MAX,
             sink: None,
             part: None,
+            work: WorkLists::default(),
             queue,
             requests: requests.into_iter().map(ReqEntry::Borrowed).collect(),
             gids,
@@ -1032,18 +1116,37 @@ impl<'a> ExecCore<'a> {
     /// re-placement (`to_replace`) — which are drained to a fixed point
     /// after the match, because presence can ready a task on a known-dead
     /// device and a re-placement can find its inputs already co-located.
+    ///
+    /// The lists are the core's own [`WorkLists`], taken here and handed
+    /// back empty on every exit of [`Self::handle`], so steady-state
+    /// events allocate none of them.
     fn step(&mut self, now: SimTime, ev: Ev) {
+        let mut work = std::mem::take(&mut self.work);
+        self.handle(now, ev, &mut work);
+        debug_assert!(
+            work.made_present.is_empty()
+                && work.dispatch_devices.is_empty()
+                && work.to_replace.is_empty()
+                && work.regions_changed.is_empty(),
+            "an event left work behind"
+        );
+        self.work = work;
+    }
+
+    /// The body of [`Self::step`], over borrowed work lists.
+    fn handle(&mut self, now: SimTime, ev: Ev, work: &mut WorkLists) {
         let env = self.env;
-        // Work lists produced by this event.
-        let mut made_present: Vec<(usize, u32)> = Vec::new();
-        let mut dispatch_devices: Vec<usize> = Vec::new();
-        let mut to_replace: Vec<(usize, TaskId)> = Vec::new();
+        let WorkLists {
+            made_present,
+            dispatch_devices,
+            to_replace,
+            regions_changed,
+        } = work;
         let mut network_changed = false;
-        let mut regions_changed: Vec<u32> = Vec::new();
 
         match ev {
             Ev::Arrival(req) if self.part.is_some() => {
-                self.arrive_part(now, req, &mut made_present, &mut dispatch_devices);
+                self.arrive_part(now, req, made_present, dispatch_devices);
             }
             Ev::Arrival(req) => {
                 let r = req_ref(&self.requests, req);
@@ -1239,7 +1342,7 @@ impl<'a> ExecCore<'a> {
                 // registered slot still missing the item, in NodeId order.
                 let my_node = env.node_of(dev);
                 if self.part.is_some() {
-                    self.publish_part(now, req, task, dev, my_node, &mut made_present);
+                    self.publish_part(now, req, task, dev, my_node, made_present);
                 } else {
                     let st = &mut self.states[req];
                     let mut to_deliver: Vec<u32> = Vec::new();
@@ -1486,7 +1589,7 @@ impl<'a> ExecCore<'a> {
         // feed the other (a new item can ready a task whose device is
         // known-dead; a re-placement can find its inputs co-located).
         while !made_present.is_empty() || !to_replace.is_empty() {
-            for (req, slot) in std::mem::take(&mut made_present) {
+            for (req, slot) in made_present.drain(..) {
                 let st = &mut self.states[req];
                 debug_assert_eq!(st.slots[slot as usize].state, SlotState::InFlight);
                 st.slots[slot as usize].state = SlotState::Present;
@@ -1498,7 +1601,10 @@ impl<'a> ExecCore<'a> {
                     self.retire_scan.push(req);
                 }
                 let node = st.slots[slot as usize].node;
-                for t in std::mem::take(&mut st.slots[slot as usize].waiters) {
+                // Drained in place: the emptied list keeps its capacity
+                // for the spare pool when the request retires.
+                let mut waiters = std::mem::take(&mut st.slots[slot as usize].waiters);
+                for t in waiters.drain(..) {
                     // A waiter only counts if this task actually runs here.
                     let dev = self.assign[req][t.0 as usize];
                     if env.node_of(dev) != node {
@@ -1516,9 +1622,10 @@ impl<'a> ExecCore<'a> {
                         }
                     }
                 }
+                st.slots[slot as usize].waiters = waiters;
             }
-            for (req, task) in std::mem::take(&mut to_replace) {
-                self.replace_task(req, task, now, &mut dispatch_devices, &mut made_present);
+            for (req, task) in to_replace.drain(..) {
+                self.replace_task(req, task, now, dispatch_devices, made_present);
             }
         }
 
@@ -1530,7 +1637,7 @@ impl<'a> ExecCore<'a> {
         }
         dispatch_devices.sort_unstable();
         dispatch_devices.dedup();
-        for di in dispatch_devices {
+        for di in dispatch_devices.drain(..) {
             self.dispatch_queue(di, now);
         }
 
@@ -1550,7 +1657,7 @@ impl<'a> ExecCore<'a> {
         if !regions_changed.is_empty() {
             regions_changed.sort_unstable();
             regions_changed.dedup();
-            for r in regions_changed {
+            for r in regions_changed.drain(..) {
                 self.rearm_region(now, r);
             }
         }
@@ -1598,16 +1705,15 @@ impl<'a> ExecCore<'a> {
         let gid = self.gids[req];
         // (item, home, destination, bytes) fetches this core initiates,
         // in first-sight order.
-        let mut sends: Vec<(DataId, NodeId, NodeId, u64)> = Vec::new();
+        let mut sends = std::mem::take(&mut self.part.as_mut().expect("partition mode").sends);
         {
             let part = self.part.as_ref().expect("partition mode");
             let partition = part.partition;
             let st = &mut self.states[req];
             let plan = &self.plans[req];
             let assign = &self.assign[req];
-            let mut fanout: Vec<Vec<NodeId>> = vec![Vec::new(); plan.n_items];
+            reset_lists(&mut st.fanout, plan.n_items);
             let mut owned_tasks = 0usize;
-            let mut seen: HashSet<(DataId, NodeId)> = HashSet::new();
             for t in r.dag.tasks() {
                 let dst = env.node_of(assign[t.id.0 as usize]);
                 let dst_owned = part.owned[partition.region_of(dst)];
@@ -1619,7 +1725,7 @@ impl<'a> ExecCore<'a> {
                 for &d in plan.inputs_of(t.id) {
                     let external = r.dag.producer(d).is_none();
                     if !external {
-                        fanout[d.0 as usize].push(dst);
+                        st.fanout[d.0 as usize].push(dst);
                     }
                     if dst_owned {
                         let slot = st.intern(d, dst);
@@ -1643,9 +1749,12 @@ impl<'a> ExecCore<'a> {
                             .data(d)
                             .home
                             .expect("validated dag: external has home");
+                        // One fetch per (item, destination). `sends` holds
+                        // only this request's remote external fetches, so
+                        // a scan replaces a per-arrival hash set.
                         if home != dst
                             && part.owned[partition.region_of(home)]
-                            && seen.insert((d, dst))
+                            && !sends.iter().any(|&(d2, _, dst2, _)| (d2, dst2) == (d, dst))
                         {
                             sends.push((d, home, dst, r.dag.data(d).bytes));
                         }
@@ -1653,15 +1762,14 @@ impl<'a> ExecCore<'a> {
                 }
             }
             st.unfinished = owned_tasks;
-            for v in &mut fanout {
+            for v in &mut st.fanout {
                 v.sort_unstable();
                 v.dedup();
             }
-            st.fanout = fanout;
         }
         // Egress billed by the initiating (home-owning) core only, so
         // merged totals count each transfer exactly once.
-        for (d, home, dst, bytes) in sends {
+        for (d, home, dst, bytes) in sends.drain(..) {
             if self.sink.is_none() {
                 self.egress_log
                     .push((env.fleet.at_node(home).first().copied(), bytes));
@@ -1674,6 +1782,7 @@ impl<'a> ExecCore<'a> {
             }
             self.part_send(now, gid, d, home, dst, bytes);
         }
+        self.part.as_mut().expect("partition mode").sends = sends;
         // Owned tasks with no inputs are immediately ready. Foreign tasks
         // were pre-marked started, so the scan skips them.
         let n_tasks = self.finished[req].len();
@@ -1707,7 +1816,7 @@ impl<'a> ExecCore<'a> {
     ) {
         let r = req_ref(&self.requests, req);
         let gid = self.gids[req];
-        let mut sends: Vec<(DataId, NodeId, u64)> = Vec::new();
+        let mut sends = std::mem::take(&mut self.part.as_mut().expect("partition mode").sends);
         let mut n_publish = 0usize;
         {
             let st = &mut self.states[req];
@@ -1725,13 +1834,13 @@ impl<'a> ExecCore<'a> {
                         self.inflight[req] += 1;
                         made_present.push((req, slot));
                     } else {
-                        sends.push((out, dst, r.dag.data(out).bytes));
+                        sends.push((out, my_node, dst, r.dag.data(out).bytes));
                     }
                 }
             }
         }
         self.obs.publish(n_publish);
-        for (d, dst, bytes) in sends {
+        for (d, src, dst, bytes) in sends.drain(..) {
             // Egress billed to the producing device by its own core; the
             // consumer's core never logs this transfer.
             if self.sink.is_none() {
@@ -1741,8 +1850,9 @@ impl<'a> ExecCore<'a> {
                 self.trace.transfers += 1;
                 self.cost.record_egress(&self.env.fleet, dev, bytes);
             }
-            self.part_send(now, gid, d, my_node, dst, bytes);
+            self.part_send(now, gid, d, src, dst, bytes);
         }
+        self.part.as_mut().expect("partition mode").sends = sends;
     }
 
     /// Begin a partitioned transfer: segment the route at region
@@ -1770,10 +1880,7 @@ impl<'a> ExecCore<'a> {
         )
         .expect("partition mode runs without link faults");
         let part = self.part.as_ref().expect("partition mode");
-        let segs: Arc<[RouteSeg]> = part
-            .partition
-            .segment_route(&self.env.topology, &path)
-            .into();
+        let segs = part.partition.segment_route(&self.env.topology, &path);
         debug_assert!(
             part.owned[segs[0].region as usize],
             "sender owns the source region"
@@ -1849,15 +1956,21 @@ impl<'a> ExecCore<'a> {
         self.queue.schedule_keyed_at(at, key, ev);
     }
 
-    /// Drain transfer stages bound for regions other cores own.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(SimTime, u32, TransferMsg)> {
-        std::mem::take(&mut self.part.as_mut().expect("partition mode").outbox)
+    /// Drain transfer stages bound for regions other cores own. The
+    /// outbox keeps its capacity for the next window.
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, (SimTime, u32, TransferMsg)> {
+        self.part.as_mut().expect("partition mode").outbox.drain(..)
     }
 
     /// Drain `(gid, local finish)` of requests retired since the last
-    /// call (partition + streaming mode only).
-    pub(crate) fn take_finished(&mut self) -> Vec<(usize, SimTime)> {
-        std::mem::take(&mut self.part.as_mut().expect("partition mode").finished_log)
+    /// call (partition + streaming mode only). The log keeps its
+    /// capacity.
+    pub(crate) fn drain_finished(&mut self) -> std::vec::Drain<'_, (usize, SimTime)> {
+        self.part
+            .as_mut()
+            .expect("partition mode")
+            .finished_log
+            .drain(..)
     }
 
     /// First-fit scan of one device's ready queue: start every queued
@@ -2078,7 +2191,7 @@ impl<'a> ExecCore<'a> {
     /// Switch the core to partitioned ("pinned-task") execution *before*
     /// pumping any event: tasks run exactly where they were placed, each
     /// owned region gets its own flow domain, and transfer stages bound
-    /// for regions other cores own leave through [`Self::take_outbox`].
+    /// for regions other cores own leave through [`Self::drain_outbox`].
     /// Incompatible with the infrastructure fault plane — re-placement
     /// would migrate tasks across region (hence shard) boundaries.
     pub(crate) fn enable_partition(&mut self, partition: &'a RegionPartition, owned: Vec<bool>) {
@@ -2102,6 +2215,7 @@ impl<'a> ExecCore<'a> {
             outbox: Vec::new(),
             local_of_gid,
             finished_log: Vec::new(),
+            sends: Vec::new(),
         });
     }
 
@@ -2133,7 +2247,13 @@ impl<'a> ExecCore<'a> {
     /// slot when one is free. `gid` is the request's global id (monotonic
     /// per offered request — never reused), `r.arrival` must be `>=` every
     /// event already pumped.
-    pub(crate) fn inject_request(&mut self, gid: usize, r: StreamRequest) {
+    ///
+    /// The core holds `r` itself: a shared reference, never a deep copy
+    /// of the request. A reused slot's plan, state, assignment, attempt and
+    /// finished buffers were cleared at retirement and are refilled here
+    /// in place, so their memory stays O(peak live requests) and a
+    /// steady stream allocates none of them.
+    pub(crate) fn inject_request(&mut self, gid: usize, r: Arc<StreamRequest>) {
         assert!(self.sink.is_some(), "inject_request requires streaming");
         assert!(
             !r.dag.is_empty(),
@@ -2147,47 +2267,30 @@ impl<'a> ExecCore<'a> {
         );
         let arrival = r.arrival;
         let n = r.dag.len();
-        let plan = ReqPlan::build(&r.dag);
-        let state = ReqState {
-            missing: r
-                .dag
-                .tasks()
-                .iter()
-                .map(|t| plan.inputs_of(t.id).len() as u32)
-                .collect(),
-            unfinished: n,
-            started: vec![false; n],
-            slot_of: HashMap::new(),
-            slots: Vec::new(),
-            item_slots: vec![Vec::new(); plan.n_items],
-            fanout: Vec::new(),
-        };
-        let assign = r.placement.assignment.clone();
-        let entry = ReqEntry::Owned(Box::new(r));
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 debug_assert!(self.retired[s]);
                 debug_assert_eq!(self.inflight[s], 0);
                 debug_assert_eq!(self.pending_fin[s], 0);
-                self.requests[s] = entry;
                 self.gids[s] = gid;
-                self.plans[s] = plan;
-                self.states[s] = state;
-                self.assign[s] = assign;
-                self.attempt_no[s] = vec![0; n];
-                self.finished[s] = vec![false; n];
+                self.plans[s].rebuild(&r.dag);
+                self.states[s].rebuild(&self.plans[s], &r.dag);
+                self.assign[s].extend_from_slice(&r.placement.assignment);
+                self.attempt_no[s].resize(n, 0);
+                self.finished[s].resize(n, false);
                 self.retired[s] = false;
                 self.trace.request_arrival[s] = arrival;
                 self.trace.request_finish[s] = SimTime::ZERO;
+                self.requests[s] = ReqEntry::Owned(r);
                 s
             }
             None => {
                 let s = self.requests.len();
-                self.requests.push(entry);
-                self.gids.push(gid);
+                let plan = ReqPlan::build(&r.dag);
+                self.states.push(ReqState::new(&plan, &r.dag));
                 self.plans.push(plan);
-                self.states.push(state);
-                self.assign.push(assign);
+                self.gids.push(gid);
+                self.assign.push(r.placement.assignment.clone());
                 self.attempt_no.push(vec![0; n]);
                 self.finished.push(vec![false; n]);
                 self.retired.push(false);
@@ -2195,6 +2298,7 @@ impl<'a> ExecCore<'a> {
                 self.pending_fin.push(0);
                 self.trace.request_arrival.push(arrival);
                 self.trace.request_finish.push(SimTime::ZERO);
+                self.requests.push(ReqEntry::Owned(r));
                 s
             }
         };
@@ -2227,10 +2331,11 @@ impl<'a> ExecCore<'a> {
 
     /// Retire `req` if every precondition holds: all tasks finished, no
     /// delivery in flight toward any of its slots, and no scheduled
-    /// `TaskFinished` still unpopped. Frees the per-request state in both
-    /// modes (it is dead weight either way); in streaming mode the slot
-    /// additionally returns to the free list for reuse and the request's
-    /// latency folds into the sink.
+    /// `TaskFinished` still unpopped. In streaming mode the per-request
+    /// buffers are cleared in place for the next injection into this
+    /// slot, the slot returns to the free list, and the request's latency
+    /// folds into the sink. Closed-loop slots are never reused, so their
+    /// state is freed outright.
     fn try_retire(&mut self, req: usize) {
         if self.retired[req]
             || self.states[req].unfinished != 0
@@ -2245,21 +2350,19 @@ impl<'a> ExecCore<'a> {
         for t in 0..n_tasks {
             self.attempts.remove(&(req, t));
         }
-        let st = &mut self.states[req];
-        st.missing = Vec::new();
-        st.started = Vec::new();
-        st.slot_of = HashMap::new();
-        st.slots = Vec::new();
-        st.item_slots = Vec::new();
-        st.fanout = Vec::new();
-        self.plans[req] = ReqPlan {
-            in_off: Vec::new(),
-            inputs: Vec::new(),
-            n_items: 0,
-        };
-        self.assign[req] = Vec::new();
-        self.attempt_no[req] = Vec::new();
-        self.finished[req] = Vec::new();
+        if self.sink.is_some() {
+            self.states[req].clear();
+            self.plans[req].clear();
+            self.assign[req].clear();
+            self.attempt_no[req].clear();
+            self.finished[req].clear();
+        } else {
+            self.states[req] = ReqState::default();
+            self.plans[req] = ReqPlan::default();
+            self.assign[req] = Vec::new();
+            self.attempt_no[req] = Vec::new();
+            self.finished[req] = Vec::new();
+        }
         if let Some(part) = self.part.as_mut() {
             part.local_of_gid.remove(&self.gids[req]);
             if self.sink.is_some() {

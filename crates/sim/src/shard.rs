@@ -194,40 +194,34 @@ impl<S: ShardModel> ConservativeDriver<S> {
             self.stats.per_shard_messages[to] += 1;
             inboxes[to].push(e);
         }
-        // Advance every shard to its horizon. Ownership round-trips
-        // through the iterator so the parallel and serial paths share one
-        // shape; results come back in input order either way.
+        // Advance every shard to its horizon, in place: each work item
+        // borrows its shard, so the parallel and serial paths share one
+        // shape and no shard moves. Results come back in input order
+        // either way.
         let lookahead = &self.lookahead;
         #[allow(clippy::type_complexity)]
-        let work: Vec<(usize, S, Vec<Envelope<S::Msg>>)> = self
+        let work: Vec<(usize, &mut S, Vec<Envelope<S::Msg>>)> = self
             .shards
-            .drain(..)
+            .iter_mut()
             .zip(inboxes)
             .enumerate()
             .map(|(i, (s, inbox))| (i, s, inbox))
             .collect();
-        let advanced: Vec<(S, Vec<Envelope<S::Msg>>)> = if self.parallel {
-            work.into_par_iter()
-                .map(|(i, mut s, inbox)| {
-                    let out = s.advance(lookahead.horizon(i, next, cap), inbox);
-                    (s, out)
-                })
-                .collect()
+        let advance =
+            |(i, s, inbox): (usize, &mut S, Vec<Envelope<S::Msg>>)| -> Vec<Envelope<S::Msg>> {
+                s.advance(lookahead.horizon(i, next, cap), inbox)
+            };
+        let outs: Vec<Vec<Envelope<S::Msg>>> = if self.parallel {
+            work.into_par_iter().map(advance).collect()
         } else {
-            work.into_iter()
-                .map(|(i, mut s, inbox)| {
-                    let out = s.advance(lookahead.horizon(i, next, cap), inbox);
-                    (s, out)
-                })
-                .collect()
+            work.into_iter().map(advance).collect()
         };
-        for (s, out) in advanced {
+        for out in outs {
             assert!(
                 self.lookahead.exchanges_messages() || out.is_empty(),
                 "shards that exchange messages need a lookahead"
             );
             self.pending.extend(out);
-            self.shards.push(s);
         }
         self.stats.windows += 1;
         true

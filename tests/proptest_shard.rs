@@ -16,7 +16,11 @@
 
 use continuum_core::prelude::*;
 use continuum_net::{continuum_regions, RegionPartition};
-use continuum_runtime::{simulate_stream_sharded, FaultSpec, ShardOpts};
+use continuum_obs::Histogram;
+use continuum_runtime::{
+    simulate_open_loop, simulate_open_loop_sharded, simulate_stream_sharded, FaultSpec,
+    OpenLoopOpts, OpenLoopReport, ShardOpts,
+};
 use proptest::prelude::*;
 
 fn shard_cases() -> u32 {
@@ -122,6 +126,70 @@ fn workload(
         ));
     }
     reqs
+}
+
+/// An arrival-ordered open-loop stream whose DAG sizes alternate between
+/// 2 and 12 tasks, so a recycled request slot is refilled by a request of
+/// a different size. Three of every four requests span a fog and the
+/// backbone; the rest stay on their fog. Tasks are light and run on
+/// gateway-class devices or better, so requests retire within a few
+/// arrivals of each other and slots turn over many times per run.
+fn heterogeneous_stream(
+    world: &Continuum,
+    spec: &ContinuumSpec,
+    seed: u64,
+    n: usize,
+) -> Vec<StreamRequest> {
+    let env = world.env();
+    let regions = continuum_regions(spec);
+    let devices = |which: &[usize]| -> Vec<DeviceId> {
+        which
+            .iter()
+            .flat_map(|&r| &regions[r])
+            .filter(|&&n| env.topology.node(n).tier >= Tier::Edge)
+            .flat_map(|&n| env.fleet.at_node(n).iter().copied())
+            .collect()
+    };
+    let mut rng = Rng::new(seed ^ 0x51_07);
+    let mut at = SimTime::ZERO;
+    (0..n)
+        .map(|i| {
+            at += SimDuration::from_millis(rng.next_u64() % 300);
+            let f = 1 + (rng.next_u64() as usize) % (regions.len() - 1);
+            let source = *regions[f].last().expect("fog region has a sensor");
+            let mut dag_rng = Rng::new(rng.next_u64());
+            let dag = layered_random(
+                &mut dag_rng,
+                &LayeredSpec {
+                    tasks: if i % 2 == 0 { 2 } else { 12 },
+                    width: 4,
+                    source,
+                    work_mu: (1e8f64).ln(),
+                    bytes_mu: (1e5f64).ln(),
+                    min_mem_bytes: 0,
+                    ..LayeredSpec::default()
+                },
+            );
+            let devs = if i % 4 == 3 {
+                devices(&[f])
+            } else {
+                devices(&[f, 0])
+            };
+            let assignment = (0..dag.len()).map(|k| devs[(i + k) % devs.len()]).collect();
+            StreamRequest {
+                dag,
+                placement: Placement { assignment },
+                arrival: at,
+            }
+        })
+        .collect()
+}
+
+/// The report with its one deal-dependent field zeroed: the record-buffer
+/// high-water mark is per shard.
+fn strip(mut r: OpenLoopReport) -> OpenLoopReport {
+    r.peak_record_buffer = 0;
+    r
 }
 
 /// Device-crash schedule whose outages all end before the detection
@@ -310,5 +378,90 @@ proptest! {
             world.env(), &requests, None, Some(&plane), &partition, &opts,
         );
         prop_assert_eq!(&again, &out);
+    }
+
+    /// Recycled request slots carry nothing over. Open-loop runs reuse a
+    /// retired slot's buffers for the next admitted request; with a small
+    /// admission cap and DAG sizes alternating 2 and 12 tasks, each slot
+    /// is refilled many times by requests of a different size. Any state
+    /// a retirement fails to clear would show up as a divergence:
+    ///
+    /// * pinned runs on 1..=4 shards, serial or parallel, report exactly
+    ///   what the pinned 1-shard run reports (every field but the
+    ///   per-shard record-buffer mark);
+    /// * the single-queue open loop, admitting everything, reproduces the
+    ///   closed-loop executor over the same stream: task count, bytes,
+    ///   transfers, per-device attempts, the latency distribution and the
+    ///   end of run.
+    ///
+    /// Both run with and without counter-based task retries, whose
+    /// per-attempt bookkeeping is also keyed by slot.
+    #[test]
+    fn recycled_slots_leak_no_state(
+        seed in any::<u64>(),
+        n_requests in 12usize..40,
+        max_live in 1usize..5,
+        retries in any::<bool>(),
+        fail_prob in 0.05f64..0.3,
+    ) {
+        let (world, spec) = world();
+        let env = world.env();
+        let stream = heterogeneous_stream(&world, &spec, seed, n_requests);
+        let fs = FaultSpec {
+            fail_prob,
+            max_attempts: 20,
+            retry_delay: SimDuration::from_millis(100),
+            seed: seed ^ 0xfeed,
+        };
+        let faults = retries.then_some(&fs);
+        let partition = RegionPartition::new(world.topology(), continuum_regions(&spec), 0);
+        let opts = OpenLoopOpts { max_live, faults, ..OpenLoopOpts::default() };
+        let reference = strip(simulate_open_loop_sharded(
+            env,
+            stream.iter().cloned(),
+            &partition,
+            &opts,
+            &ShardOpts { parallel: false, ..ShardOpts::pinned(1) },
+        ));
+        prop_assert_eq!(reference.completed + reference.rejected, reference.offered);
+        prop_assert!(reference.completed > reference.peak_live as u64, "no slot was reused");
+        for n in 1..=4usize {
+            for parallel in [false, true] {
+                let got = strip(simulate_open_loop_sharded(
+                    env,
+                    stream.iter().cloned(),
+                    &partition,
+                    &opts,
+                    &ShardOpts { parallel, ..ShardOpts::pinned(n) },
+                ));
+                prop_assert_eq!(&got, &reference, "n={} parallel={}", n, parallel);
+            }
+        }
+
+        let open = simulate_open_loop(
+            env,
+            stream.iter().cloned(),
+            &OpenLoopOpts { faults, ..OpenLoopOpts::default() },
+        );
+        let closed = simulate_stream_chaos(env, &stream, faults, None);
+        prop_assert_eq!(open.completed, n_requests as u64);
+        prop_assert!(open.completed > open.peak_live as u64, "no slot was reused");
+        prop_assert_eq!(open.tasks_executed, closed.trace.records.len() as u64);
+        prop_assert_eq!(open.bytes_moved, closed.trace.bytes_moved);
+        prop_assert_eq!(open.transfers, closed.trace.transfers);
+        prop_assert_eq!(open.failed_attempts, closed.trace.failed_attempts);
+        let mut by_device = vec![0u64; env.fleet.len()];
+        for rec in &closed.trace.records {
+            by_device[rec.device.0 as usize] += 1;
+        }
+        prop_assert_eq!(&open.tasks_by_device, &by_device);
+        let mut latency = Histogram::default();
+        let mut end = SimTime::ZERO;
+        for (arr, fin) in closed.trace.request_arrival.iter().zip(&closed.trace.request_finish) {
+            latency.observe(fin.since(*arr).0);
+            end = end.max(*fin);
+        }
+        prop_assert_eq!(&open.latency, &latency);
+        prop_assert_eq!(open.end_time, end);
     }
 }
